@@ -53,6 +53,13 @@ type Func struct {
 	// function holistic: partials cannot merge in constant space and
 	// State() falls back to collecting values and recomputing.
 	NewState func() State
+	// FromFold seeds the state that sequential Adds of the values a Fold
+	// absorbed would have produced, so a grouped scan folds argument
+	// values into constant-size Folds and still finalizes (or continues)
+	// bit-identically to Eval over the value list. Nil for functions no
+	// Fold can answer; the planner sends such argument-taking functions to
+	// the algebra.
+	FromFold func(f Fold) State
 }
 
 // Apply evaluates the function over a group: n is the group size (|set|),
@@ -130,6 +137,7 @@ func init() {
 		Name: "SUM", Distributive: true,
 		MinClass: dimension.Sum, ResultClass: dimension.Sum, NeedsArg: true,
 		NewState: func() State { return &sumState{} },
+		FromFold: func(f Fold) State { return &sumState{sum: f.Sum, n: f.N} },
 		Eval: func(vals []float64) (float64, bool) {
 			if len(vals) == 0 {
 				return 0, false
@@ -145,6 +153,7 @@ func init() {
 		Name: "COUNT", Distributive: true,
 		MinClass: dimension.Constant, ResultClass: dimension.Sum, NeedsArg: true,
 		NewState: func() State { return &countState{} },
+		FromFold: func(f Fold) State { return &countState{n: f.N} },
 		Eval: func(vals []float64) (float64, bool) {
 			return float64(len(vals)), true
 		},
@@ -153,6 +162,7 @@ func init() {
 		Name: "AVG", Distributive: false,
 		MinClass: dimension.Average, ResultClass: dimension.Average, NeedsArg: true,
 		NewState: func() State { return &avgState{} },
+		FromFold: func(f Fold) State { return &avgState{sum: f.Sum, n: f.N} },
 		Eval: func(vals []float64) (float64, bool) {
 			if len(vals) == 0 {
 				return 0, false
@@ -167,7 +177,8 @@ func init() {
 	Register(&Func{
 		Name: "MIN", Distributive: true,
 		MinClass: dimension.Average, ResultClass: dimension.Average, NeedsArg: true,
-		NewState: func() State { return &extremeState{less: func(a, b float64) bool { return a < b }} },
+		NewState: func() State { return &extremeState{less: less} },
+		FromFold: func(f Fold) State { return &extremeState{m: f.Min, n: f.N, less: less} },
 		Eval: func(vals []float64) (float64, bool) {
 			if len(vals) == 0 {
 				return 0, false
@@ -184,7 +195,8 @@ func init() {
 	Register(&Func{
 		Name: "MAX", Distributive: true,
 		MinClass: dimension.Average, ResultClass: dimension.Average, NeedsArg: true,
-		NewState: func() State { return &extremeState{less: func(a, b float64) bool { return a > b }} },
+		NewState: func() State { return &extremeState{less: greater} },
+		FromFold: func(f Fold) State { return &extremeState{m: f.Max, n: f.N, less: greater} },
 		Eval: func(vals []float64) (float64, bool) {
 			if len(vals) == 0 {
 				return 0, false

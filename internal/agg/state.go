@@ -59,6 +59,41 @@ func (g *Func) State() State {
 	return &collectState{g: g}
 }
 
+// Fold is the constant-size argument fold a grouped scan keeps per group
+// in place of the group's argument value list. Add replays, in one pass,
+// the arithmetic each builtin's Eval performs over that list in the same
+// order: Sum is the left fold from 0, Min and Max follow Eval's ladder
+// (the first value seeds, later values replace on a strict < or >, so
+// NaN semantics carry over), and N is the list length. Func.FromFold
+// turns a Fold into the matching State.
+type Fold struct {
+	// N counts the values folded.
+	N int64
+	// Sum is the running sum in fold order.
+	Sum float64
+	// Min and Max are the running extrema; zero while N is 0.
+	Min, Max float64
+}
+
+// Add folds one argument value.
+func (f *Fold) Add(x float64) {
+	f.Sum += x
+	if f.N == 0 {
+		f.Min, f.Max = x, x
+	} else {
+		if x < f.Min {
+			f.Min = x
+		}
+		if x > f.Max {
+			f.Max = x
+		}
+	}
+	f.N++
+}
+
+func less(a, b float64) bool    { return a < b }
+func greater(a, b float64) bool { return a > b }
+
 // sumState merges by adding partial sums; okEmpty distinguishes SUM
 // (undefined on empty input) from EXPECTED (empty sum is 0).
 type sumState struct {

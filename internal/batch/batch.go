@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"mddm/internal/agg"
 	"mddm/internal/qos"
 	"mddm/internal/storage"
 )
@@ -108,17 +109,12 @@ type Request struct {
 	Cat    string
 	ArgDim string
 	Sel    *storage.Bitmap
-	// ListArgs requests per-value argument lists instead of FoldAccs
-	// (plan.Prepared.NeedsArgLists: capture consumers and aggregates
-	// outside the accumulator-foldable set). List members cost a per-fact
-	// decode pass; accumulator members fold bitmap-side for free.
-	ListArgs bool
 }
 
 // Result is one member's view of its batch's fused scan: the column
-// dictionary and this member's full-width per-value counts plus either
-// argument lists (ListArgs requests) or constant-size argument folds,
-// or the scan's error. Err of storage.ErrSharedScanUnavailable
+// dictionary and this member's full-width per-value counts plus, for an
+// argument member, constant-size per-value argument folds — or the
+// scan's error. Err of storage.ErrSharedScanUnavailable
 // means the whole batch bypassed (the caller runs solo and reports
 // OutcomeSolo); a member context cancellation surfaces as a qos
 // cancellation error.
@@ -126,8 +122,7 @@ type Result struct {
 	Outcome Outcome
 	Values  []string
 	Counts  []int64
-	Args    [][]float64
-	Folds   []storage.FoldAcc
+	Folds   []agg.Fold
 	Err     error
 }
 
@@ -165,7 +160,7 @@ type flight struct {
 	done    chan struct{}
 
 	// Scan outputs, valid after done closes. slot maps each member index
-	// to its row in counts/args: members with identical (ArgDim, Sel) are
+	// to its row in counts/folds: members with identical (ArgDim, Sel) are
 	// deduplicated into one fused-scan slot — their outputs are the same
 	// by construction, so computing them once per batch is pure savings
 	// (concurrent *identical* nocache queries land here; the result
@@ -173,8 +168,7 @@ type flight struct {
 	slot   []int
 	values []string
 	counts [][]int64
-	args   [][][]float64
-	folds  [][]storage.FoldAcc
+	folds  [][]agg.Fold
 	err    error
 }
 
@@ -288,7 +282,7 @@ func (s *Scheduler) Do(req Request) Result {
 		return Result{Outcome: outcome, Err: f.err}
 	}
 	j := f.slot[idx]
-	return Result{Outcome: outcome, Values: f.values, Counts: f.counts[j], Args: f.args[j], Folds: f.folds[j]}
+	return Result{Outcome: outcome, Values: f.values, Counts: f.counts[j], Folds: f.folds[j]}
 }
 
 // windowExpired closes the flight when its gather window runs out
@@ -379,28 +373,27 @@ func (s *Scheduler) runScan(k key, f *flight, deg int) {
 	defer close(f.done)
 	scanCtx, cancel := allMembersCtx(f.members)
 	defer cancel()
-	// Deduplicate identical members: equal ArgDim, equal output mode, and
-	// equal selection content produce equal outputs, so they share one scan
-	// slot. The quadratic bitmap comparison is bounded by MaxBatch and
-	// costs a few word-compares per fact word — noise next to the scan
-	// itself.
+	// Deduplicate identical members: equal ArgDim and equal selection
+	// content produce equal outputs, so they share one scan slot. The
+	// quadratic bitmap comparison is bounded by MaxBatch and costs a few
+	// word-compares per fact word — noise next to the scan itself.
 	var unique []storage.SharedScanMember
 	f.slot = make([]int, len(f.members))
 	for i, m := range f.members {
 		j := -1
 		for u := range unique {
-			if unique[u].ArgDim == m.ArgDim && unique[u].ListArgs == m.ListArgs && unique[u].Sel.Equal(m.Sel) {
+			if unique[u].ArgDim == m.ArgDim && unique[u].Sel.Equal(m.Sel) {
 				j = u
 				break
 			}
 		}
 		if j < 0 {
 			j = len(unique)
-			unique = append(unique, storage.SharedScanMember{ArgDim: m.ArgDim, Sel: m.Sel, ListArgs: m.ListArgs})
+			unique = append(unique, storage.SharedScanMember{ArgDim: m.ArgDim, Sel: m.Sel})
 		}
 		f.slot[i] = j
 	}
-	f.values, f.counts, f.args, f.folds, f.err = k.eng.SharedAggregateBy(scanCtx, k.dim, k.cat, unique, deg)
+	f.values, f.counts, f.folds, f.err = k.eng.SharedAggregateBy(scanCtx, k.dim, k.cat, unique, deg)
 }
 
 // allMembersCtx derives a context canceled once ALL member contexts are

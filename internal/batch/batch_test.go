@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"mddm/internal/agg"
 	"mddm/internal/casestudy"
 	"mddm/internal/dimension"
 	"mddm/internal/qos"
@@ -62,20 +64,25 @@ func TestDisabled(t *testing.T) {
 // TestLeaderAndMembers runs a burst of similar queries through one
 // scheduler and asserts exactly one leader per batch, correct member
 // outputs (differential vs solo AggregateBy), and the stats/savings
-// arithmetic. The burst mixes count-only, accumulator, and list members
-// so one batch exercises all three scan output modes.
+// arithmetic. The burst mixes count-only members and argument members
+// with and without a selection, so one batch exercises both scan output
+// classes.
 func TestLeaderAndMembers(t *testing.T) {
 	e := testEngine(t, 40)
 	s := New(Config{Enabled: true, GatherWindow: 50 * time.Millisecond, MaxBatch: 64}, nil)
 	const n = 8
-	memberShape := func(i int) (argDim string, listArgs bool) {
+	even := storage.NewBitmap(e.NumFacts())
+	for i := 0; i < e.NumFacts(); i += 2 {
+		even.Set(i)
+	}
+	memberShape := func(i int) (argDim string, sel *storage.Bitmap) {
 		switch i % 4 {
 		case 1:
-			return casestudy.DimAge, false // accumulator mode
+			return casestudy.DimAge, nil
 		case 3:
-			return casestudy.DimAge, true // list mode
+			return casestudy.DimAge, even
 		}
-		return "", false // count-only
+		return "", nil // count-only
 	}
 	results := make([]Result, n)
 	var wg sync.WaitGroup
@@ -83,14 +90,14 @@ func TestLeaderAndMembers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			argDim, listArgs := memberShape(i)
+			argDim, sel := memberShape(i)
 			results[i] = s.Do(Request{
-				Ctx:      context.Background(),
-				Engine:   e,
-				Dim:      casestudy.DimDiagnosis,
-				Cat:      casestudy.CatLowLevel,
-				ArgDim:   argDim,
-				ListArgs: listArgs,
+				Ctx:    context.Background(),
+				Engine: e,
+				Dim:    casestudy.DimDiagnosis,
+				Cat:    casestudy.CatLowLevel,
+				ArgDim: argDim,
+				Sel:    sel,
 			})
 		}(i)
 	}
@@ -121,53 +128,42 @@ func TestLeaderAndMembers(t *testing.T) {
 	if st.ScansSaved != st.Members-st.Batches {
 		t.Fatalf("stats.ScansSaved = %d, want members-batches = %d", st.ScansSaved, st.Members-st.Batches)
 	}
-	// Differential: every member's slice equals its solo fold — argument
-	// lists element-for-element for list members, FoldAccs replayed over
-	// the solo lists (bitwise) for accumulator members.
+	// Differential: every member's slice equals its solo fold — counts
+	// value for value, Folds bitwise for argument members.
 	for i, r := range results {
-		argDim, listArgs := memberShape(i)
-		wantV, wantC, wantA, err := e.AggregateBy(context.Background(), casestudy.DimDiagnosis, casestudy.CatLowLevel, argDim, nil)
+		argDim, sel := memberShape(i)
+		wantV, wantC, wantF, err := e.AggregateBy(context.Background(), casestudy.DimDiagnosis, casestudy.CatLowLevel, argDim, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if argDim != "" {
-			if listArgs != (r.Args != nil) || listArgs == (r.Folds != nil) {
-				t.Fatalf("member %d (listArgs=%v): args non-nil=%v, folds non-nil=%v",
-					i, listArgs, r.Args != nil, r.Folds != nil)
-			}
+		if (r.Folds != nil) != (argDim != "") {
+			t.Fatalf("member %d (argDim=%q): folds non-nil=%v", i, argDim, r.Folds != nil)
 		}
 		var gotV []string
 		var gotC []int
-		var gotA [][]float64
-		wi := 0
 		for j, v := range r.Values {
 			if r.Counts[j] == 0 {
 				continue
 			}
+			if r.Folds != nil {
+				k := len(gotV)
+				if k >= len(wantF) || !sameFold(r.Folds[j], wantF[k]) {
+					t.Fatalf("member %d value %s: fold diverged from solo", i, v)
+				}
+			}
 			gotV = append(gotV, v)
 			gotC = append(gotC, int(r.Counts[j]))
-			switch {
-			case r.Args != nil:
-				gotA = append(gotA, r.Args[j])
-			case r.Folds != nil:
-				var want storage.FoldAcc
-				for _, x := range wantA[wi] {
-					want.Add(x)
-				}
-				if r.Folds[j] != want {
-					t.Fatalf("member %d value %s: fold %+v, solo replay %+v", i, v, r.Folds[j], want)
-				}
-				gotA = append(gotA, nil)
-				wantA[wi] = nil
-			default:
-				gotA = append(gotA, nil)
-			}
-			wi++
 		}
-		if fmt.Sprint(gotV) != fmt.Sprint(wantV) || fmt.Sprint(gotC) != fmt.Sprint(wantC) || fmt.Sprint(gotA) != fmt.Sprint(wantA) {
+		if fmt.Sprint(gotV) != fmt.Sprint(wantV) || fmt.Sprint(gotC) != fmt.Sprint(wantC) {
 			t.Fatalf("member %d diverged from solo", i)
 		}
 	}
+}
+
+// sameFold compares Folds bitwise.
+func sameFold(a, b agg.Fold) bool {
+	return a.N == b.N && math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
+		math.Float64bits(a.Min) == math.Float64bits(b.Min) && math.Float64bits(a.Max) == math.Float64bits(b.Max)
 }
 
 // TestMaxBatchLaunchesEarly fills the size cap and asserts the batch

@@ -351,12 +351,37 @@ func (d *Dimension) LessEq(e1, e2 string, ctx Context) (bool, float64) {
 		}
 		return false, 0
 	}
-	best := map[string]float64{e1: 1}
-	stack := []string{e1}
+	var buf [8]reached
+	for _, r := range d.reachUp(e1, ctx, buf[:0]) {
+		if r.id == e2 {
+			return true, r.p
+		}
+	}
+	return false, 0
+}
+
+// reached is one value an upward walk reached, with its best path
+// probability.
+type reached struct {
+	id string
+	p  float64
+}
+
+// reachUp walks upward from e1 through edges admitted by the context and
+// appends to best every value reached (e1 first, at probability 1) with
+// its best path probability — the maximum over admitted paths of the
+// product of edge probabilities, paths whose product drops below
+// ctx.MinProb excluded. Upward closures are small (a value's ancestors
+// across the category lattice), so the reached set is a slice searched
+// linearly, and callers pass a stack buffer to keep the walk off the
+// heap.
+func (d *Dimension) reachUp(e1 string, ctx Context, best []reached) []reached {
+	best = append(best[:0], reached{e1, 1})
+	stack := make([]int, 1, 8)
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		k := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		p := best[n]
+		n, p := best[k].id, best[k].p
 		for _, e := range d.up[n] {
 			if !ctx.Admits(e.annot) {
 				continue
@@ -365,14 +390,24 @@ func (d *Dimension) LessEq(e1, e2 string, ctx Context) (bool, float64) {
 			if np < ctx.MinProb || np <= 0 {
 				continue
 			}
-			if old, seen := best[e.other]; !seen || np > old {
-				best[e.other] = np
-				stack = append(stack, e.other)
+			seen := -1
+			for i := range best {
+				if best[i].id == e.other {
+					seen = i
+					break
+				}
+			}
+			switch {
+			case seen < 0:
+				best = append(best, reached{e.other, np})
+				stack = append(stack, len(best)-1)
+			case np > best[seen].p:
+				best[seen].p = np
+				stack = append(stack, seen)
 			}
 		}
 	}
-	p, ok := best[e2]
-	return ok, p
+	return best
 }
 
 // LessEqTime returns the valid-time element during which e1 ⊑ e2 holds
@@ -454,11 +489,32 @@ func (d *Dimension) Ancestors(id string, ctx Context) []string {
 
 // AncestorsIn returns the sorted values a of the given category with
 // e ⊑ a under the context. For the category of e itself, the result is {e}.
+// It is LessEq(id, a) for every a of the category, answered with one
+// upward walk from id instead of one walk per candidate.
 func (d *Dimension) AncestorsIn(cat, id string, ctx Context) []string {
+	vals := d.catVals[cat]
+	if !d.Has(id) || len(vals) == 0 {
+		return nil
+	}
 	var out []string
-	for cand := range d.catVals[cat] {
-		if ok, _ := d.LessEq(id, cand, ctx); ok {
-			out = append(out, cand)
+	// LessEq's reflexive and ⊤ cases hold exactly when id's membership
+	// is admitted. Every other ancestor lies in a strictly coarser
+	// category other than ⊤'s (no edge leads to ⊤), so only then is the
+	// walk needed.
+	if ctx.Admits(d.memberAt[id]) {
+		if vals[id] {
+			out = append(out, id)
+		}
+		if id != TopValue && vals[TopValue] {
+			out = append(out, TopValue)
+		}
+	}
+	if d.valueCat[id] != cat && cat != TopName {
+		var buf [8]reached
+		for _, r := range d.reachUp(id, ctx, buf[:0]) {
+			if vals[r.id] {
+				out = append(out, r.id)
+			}
 		}
 	}
 	sort.Strings(out)

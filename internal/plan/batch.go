@@ -108,85 +108,23 @@ func (p *Prepared) ArgDim() string { return p.argDim }
 // Selection returns the compiled WHERE bitmap (nil admits every fact).
 func (p *Prepared) Selection() *storage.Bitmap { return p.sel }
 
-// NeedsArgLists reports whether this member's slice of the fused scan
-// must materialize per-value argument lists (storage.SharedScanMember
-// ListArgs): delta-capture consumers rebuild mergeable partials from the
-// value lists themselves, and aggregates outside the accumulator-foldable
-// set finalize with their own Eval over a list. Everything else finishes
-// from the scan's constant-size FoldAccs, which cost no per-member
-// allocation.
-func (p *Prepared) NeedsArgLists() bool {
-	if p.argDim == "" {
-		return false
-	}
-	if captureFrom(p.cctx) != nil {
-		return true
-	}
-	return !accFoldable(p.fn)
-}
-
-// accFoldable reports whether fn finalizes bit-identically from a FoldAcc
-// folded in the solo kernels' ascending order: SUM and AVG replay the
-// exact left-to-right addition sequence, COUNT is the fold's value count,
-// MIN/MAX replay Eval's seed-then-compare ladder. Anything else (or a
-// future registration) falls back to argument lists.
-func accFoldable(fn *agg.Func) bool {
-	switch fn.Name {
-	case "SUM", "COUNT", "AVG", "MIN", "MAX":
-		return true
-	}
-	return false
-}
-
-// accApply finalizes fn from a FoldAcc exactly as fn.Apply would from the
-// argument list the fold consumed: same empty-list ok semantics, same
-// float results.
-func accApply(fn *agg.Func, acc storage.FoldAcc) (float64, bool) {
-	switch fn.Name {
-	case "SUM":
-		if acc.N == 0 {
-			return 0, false
-		}
-		return acc.Sum, true
-	case "COUNT":
-		return float64(acc.N), true
-	case "AVG":
-		if acc.N == 0 {
-			return 0, false
-		}
-		return acc.Sum / float64(acc.N), true
-	case "MIN":
-		if !acc.Seen {
-			return 0, false
-		}
-		return acc.Min, true
-	case "MAX":
-		if !acc.Seen {
-			return 0, false
-		}
-		return acc.Max, true
-	}
-	return 0, false
-}
-
 // FinishShared completes a batchable query from a fused shared scan's
-// full-width outputs: values is the column dictionary in CategoryAt order
-// and counts this member's per-value fact counts (zero-count values
-// included); an argument-carrying member supplies either args (per-value
-// argument lists, when NeedsArgLists) or folds (the scan's constant-size
-// per-value FoldAccs). It replays the solo kernels' budget sequence — per
+// full-width outputs: values is the column dictionary in CategoryAt order,
+// counts this member's per-value fact counts (zero-count values included)
+// and folds, for an argument-carrying member, the scan's per-value
+// agg.Folds. It replays the solo kernels' budget sequence — per
 // dictionary value, Check then Facts(count), with the solo paths' exact
 // error wrapping — against a fresh guard on the member's own context,
 // then runs the shared result tail (sort, HAVING/ORDER/LIMIT, partials
 // capture). The output is bit-identical to Execute at degree 1; see
 // docs/TRAFFIC.md for the float-order argument.
-func (p *Prepared) FinishShared(values []string, counts []int64, args [][]float64, folds []storage.FoldAcc) (*query.Result, error) {
+func (p *Prepared) FinishShared(values []string, counts []int64, folds []agg.Fold) (*query.Result, error) {
 	defer p.finishSpan()
 	if ok, reason := p.Batchable(); !ok {
 		return nil, fmt.Errorf("plan: FinishShared on a non-batchable query (%s)", reason)
 	}
-	if p.NeedsArgLists() && args == nil {
-		return nil, fmt.Errorf("plan: FinishShared without argument lists for a list-mode member")
+	if len(counts) != len(values) || (p.argDim != "" && len(folds) != len(values)) {
+		return nil, fmt.Errorf("plan: FinishShared with %d counts and %d folds for %d values", len(counts), len(folds), len(values))
 	}
 	gd := p.grouped[0]
 	cp := captureFrom(p.cctx)
@@ -236,19 +174,9 @@ func (p *Prepared) FinishShared(values []string, counts []int64, args [][]float6
 				return nil, fmt.Errorf("query: %w",
 					fmt.Errorf("storage: sum %s/%s: %w", gd.dim, gd.cat, err))
 			}
-			if args != nil {
-				if len(args[j]) > 0 {
-					// Left fold in ascending dense-index order — the exact
-					// addition order of the sequential solo kernels.
-					s := 0.0
-					for _, x := range args[j] {
-						s += x
-					}
-					sums[v] = s
-				}
-			} else if folds[j].N > 0 {
-				// The FoldAcc's Sum already IS that left fold — the scan
-				// accumulated it in the same ascending order.
+			if folds[j].N > 0 {
+				// The Fold's Sum is the left fold in ascending dense-index
+				// order — the exact addition order of the solo kernels.
 				sums[v] = folds[j].Sum
 			}
 		}
@@ -263,13 +191,9 @@ func (p *Prepared) FinishShared(values []string, counts []int64, args [][]float6
 			p.ex.Kernel = KernelShared
 		}
 		parts.setShape(ShapeGroupFold)
-		// An argument-carrying member finishes from lists or from FoldAccs,
-		// depending on what the scan materialized for it.
-		accMode := p.argDim != "" && args == nil
 		var kvals []string
 		var kcounts []int
-		var kargs [][]float64
-		var kaccs []storage.FoldAcc
+		var kfolds []agg.Fold
 		for j, v := range values {
 			if err := g.Check(); err != nil {
 				return nil, fmt.Errorf("query: %w", err)
@@ -283,35 +207,11 @@ func (p *Prepared) FinishShared(values []string, counts []int64, args [][]float6
 			}
 			kvals = append(kvals, v)
 			kcounts = append(kcounts, int(counts[j]))
-			switch {
-			case accMode:
-				kaccs = append(kaccs, folds[j])
-				kargs = append(kargs, nil)
-			case p.argDim != "":
-				list := args[j]
-				if list == nil {
-					list = []float64{}
-				}
-				kargs = append(kargs, list)
-			default:
-				kargs = append(kargs, nil)
+			if folds != nil {
+				kfolds = append(kfolds, folds[j])
 			}
 		}
-		parts.captureFold(kvals, kcounts, kargs)
-		rows = make([][]string, 0, len(kvals))
-		for j, val := range kvals {
-			var v float64
-			var ok bool
-			if accMode {
-				v, ok = accApply(p.fn, kaccs[j])
-			} else {
-				v, ok = p.fn.Apply(kcounts[j], kargs[j])
-			}
-			if !ok {
-				continue
-			}
-			rows = append(rows, []string{val, agg.FormatResult(v)})
-		}
+		rows = foldRows(p.fn, kvals, kcounts, kfolds, parts)
 	}
 	return p.finish(rows, parts, cp)
 }

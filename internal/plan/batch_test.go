@@ -3,10 +3,12 @@ package plan
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"mddm/internal/agg"
 	"mddm/internal/qos"
 	"mddm/internal/query"
 	"mddm/internal/storage"
@@ -49,14 +51,14 @@ func runShared(t *testing.T, ctx context.Context, src string, cat query.Catalog,
 		t.Fatalf("%s: not batchable (%s)", src, reason)
 	}
 	dim, gcat := p.GroupLeg()
-	members := []storage.SharedScanMember{{ArgDim: p.ArgDim(), Sel: p.Selection(), ListArgs: p.NeedsArgLists()}}
+	members := []storage.SharedScanMember{{ArgDim: p.ArgDim(), Sel: p.Selection()}}
 	// The scan runs under the scheduler's own context in production
 	// (allMembersCtx), never the member's budget context.
-	values, counts, args, folds, err := p.Engine().SharedAggregateBy(context.Background(), dim, gcat, members, deg)
+	values, counts, folds, err := p.Engine().SharedAggregateBy(context.Background(), dim, gcat, members, deg)
 	if err != nil {
 		t.Fatalf("%s: fused scan: %v", src, err)
 	}
-	return p.FinishShared(values, counts[0], args[0], folds[0])
+	return p.FinishShared(values, counts[0], folds[0])
 }
 
 // TestFinishSharedDifferential asserts shared-scan completion ≡ solo
@@ -245,68 +247,107 @@ func TestBatchableClassification(t *testing.T) {
 	p.Abort()
 }
 
-// TestNeedsArgLists pins the scan-output mode classification: no lists
-// without an argument dimension, FoldAccs for the accumulator-foldable
-// registered aggregates, lists under delta capture (partials need the
-// values themselves). A misclassification either re-introduces the
-// full-width list allocation the accumulator path exists to avoid or
-// hands FinishShared folds where capture needs lists (which it refuses).
-func TestNeedsArgLists(t *testing.T) {
+// TestCapturedMembersFold pins that delta capture no longer changes what
+// a member asks of the fused scan: with and without a capture sink, an
+// argument-taking member is served constant-size Folds (a count-only
+// member none), and FinishShared refuses outputs that do not fit the
+// member instead of indexing past them.
+func TestCapturedMembersFold(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
-	cases := []struct {
-		src     string
-		capture bool
-		want    bool
-	}{
-		{`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, false, false},
-		{`SELECT SUM(Age) FROM gen GROUP BY Residence."Region"`, false, false},
-		{`SELECT AVG(Age) FROM gen GROUP BY Residence."Region"`, false, false},
-		{`SELECT MIN(Age) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, false, false},
-		{`SELECT MAX(Age) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, false, false},
-		{`SELECT COUNT(Age) FROM gen GROUP BY Residence."Region"`, false, false},
-		// Capture forces lists even for accumulator-foldable aggregates.
-		{`SELECT AVG(Age) FROM gen GROUP BY Residence."Region"`, true, true},
-		{`SELECT SETCOUNT(*) FROM gen GROUP BY Diagnosis."Diagnosis Group"`, true, false},
-	}
-	for _, tc := range cases {
-		ctx := context.Background()
-		if tc.capture {
-			ctx, _ = WithCapture(ctx)
+	for _, src := range batchableQueries {
+		for _, capture := range []bool{false, true} {
+			ctx := context.Background()
+			if capture {
+				ctx, _ = WithCapture(ctx)
+			}
+			p, err := PrepareContext(ctx, src, cat, testRef, engines)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			dim, gcat := p.GroupLeg()
+			members := []storage.SharedScanMember{{ArgDim: p.ArgDim(), Sel: p.Selection()}}
+			values, counts, folds, err := p.Engine().SharedAggregateBy(context.Background(), dim, gcat, members, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (folds[0] != nil) != (p.ArgDim() != "") {
+				t.Fatalf("%s (capture=%v): folds non-nil=%v, argument dimension %q", src, capture, folds[0] != nil, p.ArgDim())
+			}
+			if p.ArgDim() == "" {
+				p.Abort()
+				continue
+			}
+			if _, err := p.FinishShared(values, counts[0], nil); err == nil || !strings.Contains(err.Error(), "folds") {
+				t.Fatalf("%s (capture=%v): FinishShared without folds = %v, want a shape error", src, capture, err)
+			}
 		}
-		p, err := PrepareContext(ctx, tc.src, cat, testRef, engines)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.src, err)
-		}
-		if got := p.NeedsArgLists(); got != tc.want {
-			t.Fatalf("%s (capture=%v): NeedsArgLists = %v, want %v", tc.src, tc.capture, got, tc.want)
-		}
-		p.Abort()
 	}
 }
 
-// TestFinishSharedListModeContract asserts the defensive refusal: a
-// list-mode member (capture installed) finished with folds instead of
-// argument lists is a glue bug, surfaced as an error rather than silently
-// dropped partials.
-func TestFinishSharedListModeContract(t *testing.T) {
+// stateEqual compares two partial states by behaviour: the same
+// finalized result, bit for bit, both as they are and after the same
+// continuation (a cached partial's only other use).
+func stateEqual(a, b agg.State) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	same := func(a, b agg.State) bool {
+		ar, aok := a.Finalize()
+		br, bok := b.Finalize()
+		return aok == bok && math.Float64bits(ar) == math.Float64bits(br)
+	}
+	if !same(a, b) {
+		return false
+	}
+	ac, bc := a.Clone(), b.Clone()
+	for _, x := range []float64{41, -0.5, 1e-3} {
+		ac.Add(x)
+		bc.Add(x)
+	}
+	return same(ac, bc)
+}
+
+// TestFinishSharedCaptureMatchesSolo asserts a shared-scan completion
+// under capture records the same Partials as a solo Execute under
+// capture — shape, leg, report parts, and every group's count and state —
+// for the whole batchable corpus at every scan degree.
+func TestFinishSharedCaptureMatchesSolo(t *testing.T) {
 	cat := testCatalog(t)
 	engines := NewCatalogEngines(cat, testRef)
-	cctx, _ := WithCapture(context.Background())
-	src := `SELECT AVG(Age) FROM gen GROUP BY Residence."Region"`
-	p, err := PrepareContext(cctx, src, cat, testRef, engines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dim, gcat := p.GroupLeg()
-	members := []storage.SharedScanMember{{ArgDim: p.ArgDim(), Sel: p.Selection()}} // acc mode, wrongly
-	values, counts, args, folds, err := p.Engine().SharedAggregateBy(context.Background(), dim, gcat, members, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.FinishShared(values, counts[0], args[0], folds[0]); err == nil ||
-		!strings.Contains(err.Error(), "argument lists") {
-		t.Fatalf("FinishShared folds under capture = %v, want argument-lists contract error", err)
+	for _, src := range batchableQueries {
+		sctx, scp := WithCapture(context.Background())
+		if _, err := ExecContext(sctx, src, cat, testRef, engines); err != nil {
+			t.Fatal(err)
+		}
+		want := scp.Partials
+		if want == nil {
+			t.Fatalf("%s: solo execution captured no partials", src)
+		}
+		for _, deg := range []int{1, 2, 4, 8} {
+			bctx, bcp := WithCapture(context.Background())
+			if _, err := runShared(t, bctx, src, cat, engines, deg); err != nil {
+				t.Fatal(err)
+			}
+			got := bcp.Partials
+			if got == nil {
+				t.Fatalf("%s deg=%d: shared completion captured no partials", src, deg)
+			}
+			if got.Shape != want.Shape || got.Fn != want.Fn || got.Dim != want.Dim || got.Cat != want.Cat ||
+				got.ArgDim != want.ArgDim || got.MultiValued != want.MultiValued ||
+				!reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.CoverReasons, want.CoverReasons) {
+				t.Fatalf("%s deg=%d: partials header diverged:\n shared: %+v\n solo:   %+v", src, deg, got, want)
+			}
+			if len(got.Groups) != len(want.Groups) {
+				t.Fatalf("%s deg=%d: %d groups, solo %d", src, deg, len(got.Groups), len(want.Groups))
+			}
+			for v, wg := range want.Groups {
+				gg := got.Groups[v]
+				if gg == nil || gg.Count != wg.Count || !stateEqual(gg.State, wg.State) {
+					t.Fatalf("%s deg=%d: group %s diverged: shared %+v, solo %+v", src, deg, v, gg, wg)
+				}
+			}
+		}
 	}
 }
 
@@ -319,7 +360,7 @@ func TestFinishSharedNonBatchable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.FinishShared(nil, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "non-batchable") {
+	if _, err := p.FinishShared(nil, nil, nil); err == nil || !strings.Contains(err.Error(), "non-batchable") {
 		t.Fatalf("FinishShared on FACTS = %v, want non-batchable error", err)
 	}
 }

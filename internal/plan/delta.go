@@ -214,25 +214,6 @@ func (p *Partials) captureSums(sums map[string]float64) {
 	}
 }
 
-// captureFold records a group-fold result: per-value counts plus the
-// argument values AggregateBy extracted in ascending dense-index order.
-func (p *Partials) captureFold(values []string, counts []int, args [][]float64) {
-	if p == nil {
-		return
-	}
-	for j, v := range values {
-		gs := &GroupState{Count: counts[j]}
-		if p.Fn.NeedsArg {
-			st := p.Fn.State()
-			for _, x := range args[j] {
-				st.Add(x)
-			}
-			gs.State = st
-		}
-		p.Groups[v] = gs
-	}
-}
-
 // UpgradeResult continues cached partials over the appended fact range
 // [lo, hi) and rebuilds the full query result as of the epoch covering
 // [0, hi): it recompiles the WHERE selection against the grown engine

@@ -73,8 +73,8 @@ func execGlobal(guard *qos.Guard, eng *storage.Engine, fn *agg.Func, argDim stri
 // execOneDim evaluates an aggregate grouped on a single dimension. The
 // unselected count/sum cases dispatch to the existing kernels
 // (CountByColumn/SumByColumn with bitmap fallback) — the exact paths the
-// per-kernel differential tests pin; everything else folds the grouped
-// per-value counts and argument columns from AggregateBy.
+// per-kernel differential tests pin; everything else finishes the grouped
+// per-value counts and argument Folds from AggregateBy.
 func execOneDim(cctx context.Context, eng *storage.Engine, fn *agg.Func, gd groupDim, argDim string, sel *storage.Bitmap, ex *Explain, parts *Partials) ([][]string, error) {
 	if ex != nil {
 		if eng.HasColumn(gd.dim, gd.cat) {
@@ -119,20 +119,39 @@ func execOneDim(cctx context.Context, eng *storage.Engine, fn *agg.Func, gd grou
 		ex.Shape = ShapeGroupFold
 	}
 	parts.setShape(ShapeGroupFold)
-	values, counts, args, err := eng.AggregateBy(cctx, gd.dim, gd.cat, argDim, sel)
+	values, counts, folds, err := eng.AggregateBy(cctx, gd.dim, gd.cat, argDim, sel)
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
-	parts.captureFold(values, counts, args)
+	return foldRows(fn, values, counts, folds, parts), nil
+}
+
+// foldRows finishes a group-fold result, solo (execOneDim) and batched
+// (FinishShared) alike. An argument-taking function's group result is
+// fn.FromFold(fold).Finalize(); any other function applies to the
+// group's member count. Under capture the seeded states are stored as
+// the groups' partials, so a delta continuation Adds onto exactly the
+// state a sequential fold would have reached.
+func foldRows(fn *agg.Func, values []string, counts []int, folds []agg.Fold, parts *Partials) [][]string {
 	rows := make([][]string, 0, len(values))
 	for j, val := range values {
-		v, ok := fn.Apply(counts[j], args[j])
-		if !ok {
-			continue
+		var st agg.State
+		var v float64
+		var ok bool
+		if fn.NeedsArg {
+			st = fn.FromFold(folds[j])
+			v, ok = st.Finalize()
+		} else {
+			v, ok = fn.Apply(counts[j], nil)
 		}
-		rows = append(rows, []string{val, agg.FormatResult(v)})
+		if parts != nil {
+			parts.Groups[val] = &GroupState{Count: counts[j], State: st}
+		}
+		if ok {
+			rows = append(rows, []string{val, agg.FormatResult(v)})
+		}
 	}
-	return rows, nil
+	return rows
 }
 
 // execCross evaluates an aggregate grouped on several dimensions. It

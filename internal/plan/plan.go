@@ -136,7 +136,10 @@ func prepare(cctx context.Context, q *query.Query, cat query.Catalog, ref tempor
 				p.fallbackReason = ReasonProbabilistic
 				return p, nil
 			}
-			if fn.NewState == nil {
+			// A grouped fold finishes argument values from constant-size
+			// Folds (FromFold); a function without that hook has no
+			// constant-size partial the planner can use.
+			if fn.NewState == nil || (fn.NeedsArg && fn.FromFold == nil) {
 				p.fallbackReason = ReasonHolistic
 				return p, nil
 			}

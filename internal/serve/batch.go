@@ -98,13 +98,12 @@ func (s *Server) batchedQuery(ctx context.Context, src string) (*query.Result, e
 	}
 	dim, cat := p.GroupLeg()
 	r := s.batcher.Do(batch.Request{
-		Ctx:      ctx,
-		Engine:   p.Engine(),
-		Dim:      dim,
-		Cat:      cat,
-		ArgDim:   p.ArgDim(),
-		Sel:      p.Selection(),
-		ListArgs: p.NeedsArgLists(),
+		Ctx:    ctx,
+		Engine: p.Engine(),
+		Dim:    dim,
+		Cat:    cat,
+		ArgDim: p.ArgDim(),
+		Sel:    p.Selection(),
 	})
 	if r.Err != nil {
 		if errors.Is(r.Err, storage.ErrSharedScanUnavailable) {
@@ -123,5 +122,5 @@ func (s *Server) batchedQuery(ctx context.Context, src string) (*query.Result, e
 		return nil, fmt.Errorf("query: %w", r.Err)
 	}
 	setBatchOutcome(ctx, r.Outcome, "")
-	return p.FinishShared(r.Values, r.Counts, r.Args, r.Folds)
+	return p.FinishShared(r.Values, r.Counts, r.Folds)
 }

@@ -27,8 +27,8 @@ import (
 // and — when argDim is non-empty — those facts' argument values
 // concatenated in ascending dense-index order. Values with no in-range
 // selected facts are omitted. Appending the returned argument lists to
-// a fold over [0, lo) reproduces, element for element, the fold
-// AggregateBy would produce over [0, hi).
+// the list over [0, lo) reproduces, element for element, the list whose
+// fold AggregateBy returns over [0, hi).
 func (e *Engine) AggregateByRange(ctx context.Context, dim, cat, argDim string, sel *Bitmap, lo, hi int) (values []string, counts []int, args [][]float64, err error) {
 	g := qos.NewGuard(ctx)
 	d := e.mo.Dimension(dim)

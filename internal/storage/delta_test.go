@@ -111,9 +111,10 @@ func TestEpochJournalTrim(t *testing.T) {
 }
 
 // TestAggregateByRangeComposition pins the decomposition the delta fold
-// relies on: the fold over [0, n) equals AggregateBy, and splitting at
-// any lo reproduces it value for value, count for count, and argument
-// value for argument value in the same order — the bit-identity
+// relies on: the fold over [0, n) equals AggregateBy (values, counts, and
+// the argument lists folded bitwise into AggregateBy's Folds), and
+// splitting at any lo reproduces it value for value, count for count, and
+// argument value for argument value in the same order — the bit-identity
 // precondition for continuing a cached fold.
 func TestAggregateByRangeComposition(t *testing.T) {
 	e, grow := growEngine(t, 40)
@@ -128,16 +129,21 @@ func TestAggregateByRangeComposition(t *testing.T) {
 		{casestudy.DimResidence, casestudy.CatRegion, casestudy.DimAge},
 	} {
 		label := q.dim + "/" + q.cat
-		fullV, fullC, fullA, err := e.AggregateBy(ctx, q.dim, q.cat, q.arg, nil)
+		fullV, fullC, fullF, err := e.AggregateBy(ctx, q.dim, q.cat, q.arg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rangeV, rangeC, rangeA, err := e.AggregateByRange(ctx, q.dim, q.cat, q.arg, nil, 0, n)
+		rangeV, rangeC, fullA, err := e.AggregateByRange(ctx, q.dim, q.cat, q.arg, nil, 0, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fullV, rangeV) || !reflect.DeepEqual(fullC, rangeC) || !reflect.DeepEqual(fullA, rangeA) {
+		if !reflect.DeepEqual(fullV, rangeV) || !reflect.DeepEqual(fullC, rangeC) {
 			t.Fatalf("%s: AggregateByRange(0,n) != AggregateBy", label)
+		}
+		for j, v := range fullV {
+			if want := foldOf(fullA[j]); !foldEqual(fullF[j], want) {
+				t.Fatalf("%s %s: AggregateBy fold %+v != AggregateByRange(0,n) list fold %+v", label, v, fullF[j], want)
+			}
 		}
 
 		preV, preC, preA, err := e.AggregateByRange(ctx, q.dim, q.cat, q.arg, nil, 0, lo)

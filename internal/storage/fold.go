@@ -3,7 +3,9 @@ package storage
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
+	"mddm/internal/agg"
 	"mddm/internal/exec"
 	"mddm/internal/qos"
 )
@@ -84,15 +86,16 @@ func (e *Engine) MultiValued(dim, cat string, sel *Bitmap) bool {
 // AggregateBy is the planner's grouped fold: for every value of the
 // category (in CategoryAt order) it returns the value, the number of
 // selected facts it characterizes, and — when argDim is non-empty — the
-// facts' argument values concatenated in ascending dense-index order
-// (the algebra's extraction order, so float folds stay bit-identical).
+// facts' argument values folded into a constant-size agg.Fold in
+// ascending dense-index order (the algebra's extraction order, so
+// Func.FromFold finalizes bit-identically to Eval over the value list).
 // Values characterizing no selected fact are omitted. The fact budget is
 // charged exactly like countDistinctBy: one Check plus Facts(count) per
 // category value, selection itself costing nothing. A context-carried
 // parallelism degree above 1 evaluates value partitions in parallel with
 // in-order compaction, so results and budget totals are identical at any
 // degree.
-func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *Bitmap) (values []string, counts []int, args [][]float64, err error) {
+func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *Bitmap) (values []string, counts []int, folds []agg.Fold, err error) {
 	g := qos.NewGuard(ctx)
 	d := e.mo.Dimension(dim)
 	vals := d.CategoryAt(cat, e.ctx)
@@ -111,8 +114,7 @@ func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *
 	}
 	n := len(e.facts)
 	kcounts := make([]int, len(vals))
-	kargs := make([][]float64, len(vals))
-	keep := make([]bool, len(vals))
+	kfolds := make([]agg.Fold, len(vals))
 	evalOne := func(g *qos.Guard, j int, scratch *Bitmap) error {
 		if err := g.Check(); err != nil {
 			return err
@@ -133,20 +135,9 @@ func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *
 		if err := g.Facts(int64(c)); err != nil {
 			return fmt.Errorf("storage: aggregate %s/%s: %w", dim, cat, err)
 		}
-		if c == 0 {
-			return nil
-		}
-		keep[j] = true
 		kcounts[j] = c
-		if av != nil {
-			list := make([]float64, 0, c)
-			members.Iterate(func(i int) bool {
-				if i < len(av) {
-					list = append(list, av[i]...)
-				}
-				return true
-			})
-			kargs[j] = list
+		if c > 0 && av != nil {
+			foldArgs(&kfolds[j], members, av, n)
 		}
 		return nil
 	}
@@ -174,18 +165,41 @@ func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	scanned := int64(0)
 	for j, v := range vals {
-		if !keep[j] {
+		if kcounts[j] == 0 {
 			continue
 		}
-		scanned++
 		values = append(values, v)
 		counts = append(counts, kcounts[j])
-		args = append(args, kargs[j])
+		folds = append(folds, kfolds[j])
 	}
-	mBitmapScans.Add(scanned)
-	return values, counts, args, nil
+	mBitmapScans.Add(int64(len(values)))
+	return values, counts, folds, nil
+}
+
+// foldArgs folds the argument values of the facts marked in members
+// below n into acc, fact by fact in ascending dense-index order and each
+// fact's values in argument-column order — the order the algebra extracts
+// argument lists in, so the fold replays Eval's arithmetic exactly.
+func foldArgs(acc *agg.Fold, members *Bitmap, av [][]float64, n int) {
+	if n > len(av) {
+		n = len(av)
+	}
+	for wi, w := range members.words {
+		base := wi << 6
+		if base >= n {
+			return
+		}
+		for ; w != 0; w &= w - 1 {
+			i := base + bits.TrailingZeros64(w)
+			if i >= n {
+				return
+			}
+			for _, x := range av[i] {
+				acc.Add(x)
+			}
+		}
+	}
 }
 
 // ValueLists returns, per dense fact index, the category values that

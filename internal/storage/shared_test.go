@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"mddm/internal/agg"
 	"mddm/internal/casestudy"
 	"mddm/internal/dimension"
 )
@@ -14,123 +15,121 @@ import (
 // compactShared reduces one member's full-width shared-scan outputs to
 // the solo AggregateBy view: zero-count values dropped, survivors in
 // dictionary order.
-func compactShared(values []string, counts []int64, args [][]float64) (vs []string, cs []int, as [][]float64) {
+func compactShared(values []string, counts []int64, folds []agg.Fold) (vs []string, cs []int, fs []agg.Fold) {
 	for j, v := range values {
 		if counts[j] == 0 {
 			continue
 		}
 		vs = append(vs, v)
 		cs = append(cs, int(counts[j]))
-		if args != nil {
-			as = append(as, args[j])
-		} else {
-			as = append(as, nil)
+		if folds != nil {
+			fs = append(fs, folds[j])
 		}
 	}
-	return vs, cs, as
+	return vs, cs, fs
 }
 
-// foldOf replays FoldAcc.Add over a solo argument list — the reference
-// for what an accumulator member's fold must equal, bit for bit.
-func foldOf(list []float64) FoldAcc {
-	var a FoldAcc
+// foldOf replays agg.Fold.Add over an argument list — the reference for
+// what a member's fold must equal, bit for bit.
+func foldOf(list []float64) agg.Fold {
+	var a agg.Fold
 	for _, x := range list {
 		a.Add(x)
 	}
 	return a
 }
 
-// foldEqual compares FoldAccs bitwise: Sum must be the exact float the
+// foldEqual compares Folds bitwise: Sum must be the exact float the
 // ascending left fold produces, not merely approximately equal.
-func foldEqual(a, b FoldAcc) bool {
-	return a.N == b.N && a.Seen == b.Seen &&
+func foldEqual(a, b agg.Fold) bool {
+	return a.N == b.N &&
 		math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
 		math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
 		math.Float64bits(a.Max) == math.Float64bits(b.Max)
 }
 
-// sharedMembers is the mixed member corpus: every combination of
-// {selection, no selection} × {no argument, accumulator argument, list
-// argument}, so one fused pass exercises count-only, accumulator, and
-// per-fact list folds at once.
+// sharedMembers is the mixed member corpus: {no selection, every second
+// fact, every third fact} × {no argument, argument}, so one fused pass
+// exercises count-only and argument folds under several selections.
 func sharedMembers(e *Engine) []SharedScanMember {
-	sel := NewBitmap(e.NumFacts())
-	for i := 0; i < e.NumFacts(); i += 2 {
-		sel.Set(i)
+	sel2 := NewBitmap(e.NumFacts())
+	sel3 := NewBitmap(e.NumFacts())
+	for i := 0; i < e.NumFacts(); i++ {
+		if i%2 == 0 {
+			sel2.Set(i)
+		}
+		if i%3 == 0 {
+			sel3.Set(i)
+		}
 	}
 	return []SharedScanMember{
 		{},
 		{ArgDim: casestudy.DimAge},
-		{ArgDim: casestudy.DimAge, ListArgs: true},
-		{Sel: sel},
-		{Sel: sel, ArgDim: casestudy.DimAge},
-		{Sel: sel, ArgDim: casestudy.DimAge, ListArgs: true},
+		{Sel: sel2},
+		{Sel: sel2, ArgDim: casestudy.DimAge},
+		{Sel: sel3},
+		{Sel: sel3, ArgDim: casestudy.DimAge},
 	}
 }
 
 // checkSharedMember asserts one member's fused outputs against its own
-// solo AggregateBy: counts always, argument lists element-for-element for
-// list members, and bitwise-equal FoldAccs (replayed over the solo lists)
-// for accumulator members.
+// solo AggregateBy — counts always, Folds bitwise for argument members —
+// and the Folds against a replay over the argument lists
+// AggregateByRange extracts for the whole fact range.
 func checkSharedMember(t *testing.T, tag string, e *Engine, dim, cat string, m SharedScanMember,
-	values []string, counts []int64, args [][]float64, folds []FoldAcc) {
+	values []string, counts []int64, folds []agg.Fold) {
 	t.Helper()
-	gotV, gotC, gotA := compactShared(values, counts, args)
-	wantV, wantC, wantA, err := e.AggregateBy(context.Background(), dim, cat, m.ArgDim, m.Sel)
+	if (folds != nil) != (m.ArgDim != "") {
+		t.Fatalf("%s: folds non-nil=%v for ArgDim=%q", tag, folds != nil, m.ArgDim)
+	}
+	gotV, gotC, gotF := compactShared(values, counts, folds)
+	wantV, wantC, wantF, err := e.AggregateBy(context.Background(), dim, cat, m.ArgDim, m.Sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(gotV) != fmt.Sprint(wantV) || fmt.Sprint(gotC) != fmt.Sprint(wantC) {
 		t.Fatalf("%s: shared %v %v, solo %v %v", tag, gotV, gotC, wantV, wantC)
 	}
-	switch {
-	case m.ArgDim == "":
-	case m.ListArgs:
-		if fmt.Sprint(gotA) != fmt.Sprint(wantA) {
-			t.Fatalf("%s: shared args %v, solo %v", tag, gotA, wantA)
+	if m.ArgDim == "" {
+		return
+	}
+	for j, v := range values {
+		if counts[j] == 0 && folds[j] != (agg.Fold{}) {
+			t.Fatalf("%s: value %s has zero count but non-zero fold %+v", tag, v, folds[j])
 		}
-	default:
-		// Accumulator member: the scan's FoldAcc per value must be the
-		// bitwise replay of folding the solo argument list in order.
-		if folds == nil {
-			t.Fatalf("%s: accumulator member got no folds", tag)
+	}
+	_, _, lists, err := e.AggregateByRange(context.Background(), dim, cat, m.ArgDim, m.Sel, 0, e.NumFacts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range gotV {
+		if !foldEqual(gotF[k], wantF[k]) {
+			t.Fatalf("%s: value %s fold %+v, solo %+v", tag, v, gotF[k], wantF[k])
 		}
-		wi := 0
-		for j, v := range values {
-			if counts[j] == 0 {
-				if folds[j].N != 0 || folds[j].Seen {
-					t.Fatalf("%s: value %s has zero count but non-zero fold %+v", tag, v, folds[j])
-				}
-				continue
-			}
-			if want := foldOf(wantA[wi]); !foldEqual(folds[j], want) {
-				t.Fatalf("%s: value %s fold %+v, solo replay %+v", tag, v, folds[j], want)
-			}
-			wi++
+		if want := foldOf(lists[k]); !foldEqual(gotF[k], want) {
+			t.Fatalf("%s: value %s fold %+v, list replay %+v", tag, v, gotF[k], want)
 		}
 	}
 }
 
 // TestSharedScanDifferential asserts that every member of a fused shared
 // scan gets bit-identical outputs to its own solo AggregateBy — for every
-// corpus engine, corpus (dim, cat), and parallelism degree. List members'
-// argument lists are compared element-for-element (the fused scan must
-// append in the same ascending dense-index order the solo kernels
-// iterate); accumulator members' FoldAccs are compared bitwise against a
-// replay over the solo lists.
+// corpus engine, corpus (dim, cat), and parallelism degree. Argument
+// members' Folds are compared bitwise against the solo Folds and against
+// a replay over the ascending dense-index argument lists.
 func TestSharedScanDifferential(t *testing.T) {
 	for name, e := range genVariants(t) {
 		members := sharedMembers(e)
 		for _, dc := range columnDims {
 			dim, cat := dc[0], dc[1]
 			for _, deg := range allDegrees {
-				values, counts, args, folds, err := e.SharedAggregateBy(context.Background(), dim, cat, members, deg)
+				values, counts, folds, err := e.SharedAggregateBy(context.Background(), dim, cat, members, deg)
 				if err != nil {
 					t.Fatalf("%s %s/%s deg=%d: %v", name, dim, cat, deg, err)
 				}
 				for mi, m := range members {
 					tag := fmt.Sprintf("%s %s/%s deg=%d member=%d", name, dim, cat, deg, mi)
-					checkSharedMember(t, tag, e, dim, cat, m, values, counts[mi], args[mi], folds[mi])
+					checkSharedMember(t, tag, e, dim, cat, m, values, counts[mi], folds[mi])
 				}
 			}
 		}
@@ -139,13 +138,12 @@ func TestSharedScanDifferential(t *testing.T) {
 
 // TestSharedScanFullWidth pins the full-width contract the batch budget
 // replay depends on: per member one count per dictionary value — zeros
-// included — argument-list slots only for list members, and FoldAcc slots
-// only for accumulator members.
+// included — and Fold slots only for argument members.
 func TestSharedScanFullWidth(t *testing.T) {
 	e, _ := growEngine(t, 30)
 	members := sharedMembers(e)
 	dim, cat := casestudy.DimDiagnosis, casestudy.CatLowLevel
-	values, counts, args, folds, err := e.SharedAggregateBy(context.Background(), dim, cat, members, 1)
+	values, counts, folds, err := e.SharedAggregateBy(context.Background(), dim, cat, members, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +155,9 @@ func TestSharedScanFullWidth(t *testing.T) {
 		if len(counts[mi]) != want {
 			t.Fatalf("member %d: %d counts, want %d", mi, len(counts[mi]), want)
 		}
-		if wantArgs := m.ArgDim != "" && m.ListArgs; (args[mi] != nil) != wantArgs {
-			t.Fatalf("member %d: args non-nil=%v, want %v (ArgDim=%q ListArgs=%v)",
-				mi, args[mi] != nil, wantArgs, m.ArgDim, m.ListArgs)
-		}
-		if wantFolds := m.ArgDim != "" && !m.ListArgs; (folds[mi] != nil) != wantFolds {
-			t.Fatalf("member %d: folds non-nil=%v, want %v (ArgDim=%q ListArgs=%v)",
-				mi, folds[mi] != nil, wantFolds, m.ArgDim, m.ListArgs)
+		if wantFolds := m.ArgDim != ""; (folds[mi] != nil) != wantFolds {
+			t.Fatalf("member %d: folds non-nil=%v, want %v (ArgDim=%q)",
+				mi, folds[mi] != nil, wantFolds, m.ArgDim)
 		}
 		if folds[mi] != nil && len(folds[mi]) != want {
 			t.Fatalf("member %d: %d folds, want %d", mi, len(folds[mi]), want)
@@ -178,7 +172,7 @@ func TestSharedScanFullWidth(t *testing.T) {
 func TestSharedScanStaleDictionary(t *testing.T) {
 	e, grow := growEngine(t, 30)
 	dim, cat := casestudy.DimAge, casestudy.CatTenYear
-	if _, _, _, _, err := e.SharedAggregateBy(context.Background(), dim, cat, []SharedScanMember{{}}, 1); err != nil {
+	if _, _, _, err := e.SharedAggregateBy(context.Background(), dim, cat, []SharedScanMember{{}}, 1); err != nil {
 		t.Fatalf("fresh column: %v", err)
 	}
 	// grow appends facts with ages in [20, 80); age 200 adds a ten-year
@@ -186,12 +180,12 @@ func TestSharedScanStaleDictionary(t *testing.T) {
 	if _, err := casestudy.AddAge(e.mo.Dimension(casestudy.DimAge), 200); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, err := e.SharedAggregateBy(context.Background(), dim, cat, []SharedScanMember{{}}, 1)
+	_, _, _, err := e.SharedAggregateBy(context.Background(), dim, cat, []SharedScanMember{{}}, 1)
 	if !errors.Is(err, ErrSharedScanUnavailable) {
 		t.Fatalf("stale dictionary: got %v, want ErrSharedScanUnavailable", err)
 	}
 	grow(1) // facts keep appending; the refusal persists until a rebuild
-	_, _, _, _, err = e.SharedAggregateBy(context.Background(), dim, cat, []SharedScanMember{{}}, 1)
+	_, _, _, err = e.SharedAggregateBy(context.Background(), dim, cat, []SharedScanMember{{}}, 1)
 	if !errors.Is(err, ErrSharedScanUnavailable) {
 		t.Fatalf("stale dictionary after append: got %v, want ErrSharedScanUnavailable", err)
 	}
@@ -204,7 +198,7 @@ func TestSharedScanUnknownDim(t *testing.T) {
 	cfg.Patients = 10
 	m := casestudy.MustGenerate(cfg)
 	e := NewEngine(m, dimension.CurrentContext(ref))
-	_, _, _, _, err := e.SharedAggregateBy(context.Background(), "NoSuchDim", "NoSuchCat", []SharedScanMember{{}}, 1)
+	_, _, _, err := e.SharedAggregateBy(context.Background(), "NoSuchDim", "NoSuchCat", []SharedScanMember{{}}, 1)
 	if err == nil {
 		t.Fatal("unknown dimension: expected an error")
 	}
@@ -216,12 +210,12 @@ func TestSharedScanUnknownDim(t *testing.T) {
 func TestSharedScanGrownFacts(t *testing.T) {
 	e, grow := growEngine(t, 30)
 	dim, cat := casestudy.DimDiagnosis, casestudy.CatLowLevel
-	if _, _, _, _, err := e.SharedAggregateBy(context.Background(), dim, cat, []SharedScanMember{{}}, 1); err != nil {
+	if _, _, _, err := e.SharedAggregateBy(context.Background(), dim, cat, []SharedScanMember{{}}, 1); err != nil {
 		t.Fatal(err)
 	}
 	grow(7)
 	members := sharedMembers(e)
-	values, counts, args, folds, err := e.SharedAggregateBy(context.Background(), dim, cat, members, 2)
+	values, counts, folds, err := e.SharedAggregateBy(context.Background(), dim, cat, members, 2)
 	if errors.Is(err, ErrSharedScanUnavailable) {
 		t.Skip("append grew the dictionary; covered by TestSharedScanStaleDictionary")
 	}
@@ -230,6 +224,6 @@ func TestSharedScanGrownFacts(t *testing.T) {
 	}
 	for mi, m := range members {
 		tag := fmt.Sprintf("member %d after append", mi)
-		checkSharedMember(t, tag, e, dim, cat, m, values, counts[mi], args[mi], folds[mi])
+		checkSharedMember(t, tag, e, dim, cat, m, values, counts[mi], folds[mi])
 	}
 }
