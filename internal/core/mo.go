@@ -145,17 +145,20 @@ func (m *MO) RelateAnnot(dim, factID, valueID string, a dimension.Annot) error {
 func (m *MO) EnsureTotal() {
 	for _, name := range m.schema.DimensionNames() {
 		r := m.rels[name]
-		for _, id := range m.facts.IDs() {
-			if len(r.ValuesOf(id)) == 0 {
+		m.facts.Range(func(id string) bool {
+			if r.ValuesLen(id) == 0 {
 				r.Add(id, dimension.TopValue)
 			}
-		}
+			return true
+		})
 	}
 }
 
 // Validate checks the MO's integrity: every relation pair references an
 // existing fact and an existing dimension value, and every fact is
-// characterized in every dimension (no missing values).
+// characterized in every dimension (no missing values). Per dimension it
+// reports the smallest bad (fact, value) pair — an unknown fact before an
+// unknown value — and then the smallest fact without a value.
 func (m *MO) Validate() error {
 	for _, name := range m.schema.DimensionNames() {
 		d := m.dims[name]
@@ -163,19 +166,37 @@ func (m *MO) Validate() error {
 		if d == nil || r == nil {
 			return fmt.Errorf("core: dimension %q missing instance or relation", name)
 		}
-		for _, p := range r.Pairs() {
-			if !m.facts.Has(p.FactID) {
-				return fmt.Errorf("core: relation %q references unknown fact %q", name, p.FactID)
+		var badF, badV string
+		bad := false
+		r.Range(func(f, v string, _ dimension.Annot) bool {
+			if m.facts.Has(f) && d.Has(v) {
+				return true
 			}
-			if !d.Has(p.ValueID) {
-				return fmt.Errorf("core: relation %q references unknown value %q", name, p.ValueID)
+			if !bad || f < badF || (f == badF && v < badV) {
+				badF, badV, bad = f, v, true
 			}
+			return true
+		})
+		if bad {
+			if !m.facts.Has(badF) {
+				return fmt.Errorf("core: relation %q references unknown fact %q", name, badF)
+			}
+			return fmt.Errorf("core: relation %q references unknown value %q", name, badV)
 		}
-		for _, id := range m.facts.IDs() {
-			if len(r.ValuesOf(id)) == 0 {
-				return fmt.Errorf("core: fact %q has no value in dimension %q (add (f,⊤) for unknown)", id, name)
-			}
+		// Every related fact is known now, so the relation covers F
+		// exactly when it relates as many facts as F holds.
+		if r.NumFacts() == m.facts.Len() {
+			continue
 		}
+		var missing string
+		found := false
+		m.facts.Range(func(id string) bool {
+			if r.ValuesLen(id) == 0 && (!found || id < missing) {
+				missing, found = id, true
+			}
+			return true
+		})
+		return fmt.Errorf("core: fact %q has no value in dimension %q (add (f,⊤) for unknown)", missing, name)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 
 	"mddm/internal/temporal"
 )
@@ -73,6 +74,27 @@ func (c Context) WithMinProb(p float64) Context {
 	return c
 }
 
+// ContextKey is the comparable form of a Context — instants by value, not
+// by pointer — for keying memos on the whole evaluation context.
+type ContextKey struct {
+	Valid, Trans       temporal.Chronon
+	HasValid, HasTrans bool
+	Ref                temporal.Chronon
+	MinProb            float64
+}
+
+// Key returns the context's comparable form.
+func (c Context) Key() ContextKey {
+	k := ContextKey{Ref: c.Ref, MinProb: c.MinProb}
+	if c.Valid != nil {
+		k.Valid, k.HasValid = *c.Valid, true
+	}
+	if c.Trans != nil {
+		k.Trans, k.HasTrans = *c.Trans, true
+	}
+	return k
+}
+
 // Admits reports whether an annotation satisfies the context's filters.
 func (c Context) Admits(a Annot) bool {
 	if a.Prob < c.MinProb || a.Prob <= 0 {
@@ -109,6 +131,13 @@ type Dimension struct {
 	down map[string][]edge // parent -> annotated children
 
 	reps map[string]*Representation // representation name -> representation
+
+	// sorted caches each category's value ids in sorted order for
+	// Category and CategoryAt, which query paths call several times per
+	// query. Readers fill it under sortedMu; the value mutators drop the
+	// category's entry.
+	sortedMu sync.Mutex
+	sorted   map[string][]string
 }
 
 // New creates an empty dimension of the given finalized type, containing
@@ -160,6 +189,7 @@ func (d *Dimension) AddValueAnnot(cat, id string, a Annot) error {
 		d.catVals[cat] = map[string]bool{}
 	}
 	d.catVals[cat][id] = true
+	d.dropSorted(cat)
 	return nil
 }
 
@@ -176,6 +206,7 @@ func (d *Dimension) RemoveValue(id string) error {
 	delete(d.valueCat, id)
 	delete(d.memberAt, id)
 	delete(d.catVals[cat], id)
+	d.dropSorted(cat)
 	drop := func(m map[string][]edge, from, to string) {
 		es := m[from]
 		out := es[:0]
@@ -221,25 +252,47 @@ func (d *Dimension) Membership(id string) (Annot, bool) {
 
 // Category returns the sorted value ids of the category of the given type.
 func (d *Dimension) Category(cat string) []string {
-	ids := make([]string, 0, len(d.catVals[cat]))
-	for id := range d.catVals[cat] {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return append(make([]string, 0, len(d.catVals[cat])), d.sortedCategory(cat)...)
 }
 
 // CategoryAt returns the sorted value ids whose membership annotation is
 // admitted by the context (e ∈Tv C evaluated under ctx).
 func (d *Dimension) CategoryAt(cat string, ctx Context) []string {
-	var ids []string
-	for id := range d.catVals[cat] {
+	all := d.sortedCategory(cat)
+	ids := make([]string, 0, len(all))
+	for _, id := range all {
 		if ctx.Admits(d.memberAt[id]) {
 			ids = append(ids, id)
 		}
 	}
-	sort.Strings(ids)
 	return ids
+}
+
+// sortedCategory returns the cached sorted value ids of the category,
+// building the entry on first use. The slice is shared: read-only.
+func (d *Dimension) sortedCategory(cat string) []string {
+	d.sortedMu.Lock()
+	defer d.sortedMu.Unlock()
+	ids, ok := d.sorted[cat]
+	if !ok {
+		ids = make([]string, 0, len(d.catVals[cat]))
+		for id := range d.catVals[cat] {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		if d.sorted == nil {
+			d.sorted = map[string][]string{}
+		}
+		d.sorted[cat] = ids
+	}
+	return ids
+}
+
+// dropSorted forgets the cached order of a category whose values changed.
+func (d *Dimension) dropSorted(cat string) {
+	d.sortedMu.Lock()
+	defer d.sortedMu.Unlock()
+	delete(d.sorted, cat)
 }
 
 // Values returns all value ids of the dimension (including ⊤), sorted.

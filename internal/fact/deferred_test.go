@@ -53,17 +53,27 @@ func TestDeferredRelationEquivalence(t *testing.T) {
 	// Exhaust the accessor surface on a fresh deferred instance each time,
 	// so every method proves it materializes on its own.
 	accessors := map[string]func(r *Relation) bool{
-		"ValuesLen":   func(r *Relation) bool { return r.ValuesLen("f1") == 2 },
-		"RangeValues": func(r *Relation) bool { n := 0; r.RangeValues("f1", func(string, dimension.Annot) bool { n++; return true }); return n == 2 },
-		"Annot":       func(r *Relation) bool { a, ok := r.Annot("f3", "c"); return ok && a.Prob == 0.5 },
-		"Has":         func(r *Relation) bool { return r.Has("f2", "a") && !r.Has("f2", "b") },
-		"ValuesOf":    func(r *Relation) bool { v := r.ValuesOf("f1"); return len(v) == 2 && v[0] == "a" },
-		"FactsOf":     func(r *Relation) bool { f := r.FactsOf("a"); return len(f) == 2 && f[0] == "f1" },
-		"Facts":       func(r *Relation) bool { return len(r.Facts()) == 3 },
-		"Len":         func(r *Relation) bool { return r.Len() == 4 },
-		"Pairs":       func(r *Relation) bool { return len(r.Pairs()) == 4 },
-		"Restrict":    func(r *Relation) bool { return r.Restrict(func(f string) bool { return f == "f1" }).Len() == 2 },
-		"Clone":       func(r *Relation) bool { return r.Clone().Len() == 4 },
+		"ValuesLen": func(r *Relation) bool { return r.ValuesLen("f1") == 2 },
+		"RangeValues": func(r *Relation) bool {
+			n := 0
+			r.RangeValues("f1", func(string, dimension.Annot) bool { n++; return true })
+			return n == 2
+		},
+		"Annot":    func(r *Relation) bool { a, ok := r.Annot("f3", "c"); return ok && a.Prob == 0.5 },
+		"Has":      func(r *Relation) bool { return r.Has("f2", "a") && !r.Has("f2", "b") },
+		"ValuesOf": func(r *Relation) bool { v := r.ValuesOf("f1"); return len(v) == 2 && v[0] == "a" },
+		"FactsOf":  func(r *Relation) bool { f := r.FactsOf("a"); return len(f) == 2 && f[0] == "f1" },
+		"Facts":    func(r *Relation) bool { return len(r.Facts()) == 3 },
+		"Len":      func(r *Relation) bool { return r.Len() == 4 },
+		"Pairs":    func(r *Relation) bool { return len(r.Pairs()) == 4 },
+		"Range": func(r *Relation) bool {
+			n := 0
+			r.Range(func(string, string, dimension.Annot) bool { n++; return true })
+			return n == 4
+		},
+		"NumFacts": func(r *Relation) bool { return r.NumFacts() == 3 },
+		"Restrict": func(r *Relation) bool { return r.Restrict(func(f string) bool { return f == "f1" }).Len() == 2 },
+		"Clone":    func(r *Relation) bool { return r.Clone().Len() == 4 },
 	}
 	for name, probe := range accessors {
 		ran := 0

@@ -119,6 +119,17 @@ func (s *Set) Get(id string) (Fact, bool) {
 // Len returns the number of facts.
 func (s *Set) Len() int { return len(s.facts) }
 
+// Range calls fn for every fact identity, in unspecified order, stopping
+// early when fn returns false; the set must not be mutated during the
+// walk.
+func (s *Set) Range(fn func(id string) bool) {
+	for id := range s.facts {
+		if !fn(id) {
+			return
+		}
+	}
+}
+
 // IDs returns the sorted fact identities.
 func (s *Set) IDs() []string {
 	out := make([]string, 0, len(s.facts))

@@ -131,6 +131,26 @@ func (r *Relation) RangeValues(factID string, fn func(valueID string, a dimensio
 	}
 }
 
+// Range calls fn for every pair of the relation, in unspecified order,
+// stopping early when fn returns false. Unlike Pairs it neither sorts nor
+// allocates; the relation must not be mutated during the walk.
+func (r *Relation) Range(fn func(factID, valueID string, a dimension.Annot) bool) {
+	r.materialize()
+	for f, vs := range r.pairs {
+		for v, a := range vs {
+			if !fn(f, v, a) {
+				return
+			}
+		}
+	}
+}
+
+// NumFacts returns the number of facts related to at least one value.
+func (r *Relation) NumFacts() int {
+	r.materialize()
+	return len(r.pairs)
+}
+
 // Add records (f, e) ∈ R with an Always annotation.
 func (r *Relation) Add(factID, valueID string) {
 	r.AddAnnot(factID, valueID, dimension.Always())

@@ -178,3 +178,35 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 		}
 	}
 }
+
+// TestWritePrometheusWhileRegistering scrapes while other goroutines add
+// children to the same family, as lazily labeled counters do under load;
+// run with -race.
+func TestWritePrometheusWhileRegistering(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("mddm_lazy_total", "lazily labeled").Inc()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r.NewCounter("mddm_lazy_total", "lazily labeled", Label{"reason", strings.Repeat("x", w*200+i)}).Inc()
+			}
+		}(w)
+	}
+	for i := 0; i < 50; i++ {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(b.String(), "mddm_lazy_total{"); got != 800 {
+		t.Fatalf("final scrape has %d labeled children, want 800", got)
+	}
+}

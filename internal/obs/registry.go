@@ -162,11 +162,21 @@ func NewValueHistogram(name, help string, bounds []float64, labels ...Label) *Hi
 // (version 0.0.4): families in registration order, children in
 // registration order — deterministic output for tests and diffing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Children registered lazily (e.g. on a first shed) mutate a family
+	// while a scrape runs, so the families are copied under the lock and
+	// rendered outside it.
 	r.mu.Lock()
-	fams := append([]*family(nil), r.fams...)
+	fams := make([]family, len(r.fams))
+	for i, f := range r.fams {
+		fams[i] = *f
+		fams[i].children = make(map[string]any, len(f.children))
+		for k, c := range f.children {
+			fams[i].children[k] = c
+		}
+	}
 	r.mu.Unlock()
-	for _, f := range fams {
-		if err := f.write(w); err != nil {
+	for i := range fams {
+		if err := fams[i].write(w); err != nil {
 			return err
 		}
 	}

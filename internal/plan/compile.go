@@ -13,7 +13,7 @@ import (
 // compileWhere lowers the WHERE tree to a selection bitmap over dense
 // fact indices: value predicates become the engine's memoized closure
 // bitmaps (f ⤳ e is a bitmap probe, not a per-fact model walk), numeric
-// comparisons scan the memoized measure column, and the boolean
+// comparisons OR the direct bitmaps of the satisfying values, and the boolean
 // connectives are word-parallel bitmap algebra. Name-resolution error
 // texts replicate the algebra compiler (query.compilePred) exactly, so a
 // bad WHERE reads identically on either path.
@@ -81,19 +81,8 @@ func compileCondBitmap(cctx context.Context, c query.CondNode, m *core.MO, eng *
 		}
 		// Same semantics as algebra.NumericCmp: a fact matches when any of
 		// its admitted numeric values in the dimension satisfies the
-		// comparison. The memoized measure column holds exactly those
-		// values per dense index.
-		av := eng.ArgValues(c.Dim)
-		out := storage.NewBitmap(len(av))
-		for i, vals := range av {
-			for _, v := range vals {
-				if op.Holds(v, c.NumVal) {
-					out.Set(i)
-					break
-				}
-			}
-		}
-		return out, nil
+		// comparison — the union of the matching values' fact bitmaps.
+		return eng.SelectNumeric(c.Dim, func(x float64) bool { return op.Holds(x, c.NumVal) }), nil
 	}
 	base, err := resolveValueBitmap(cctx, c, d, eng, ectx)
 	if err != nil {

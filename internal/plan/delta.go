@@ -3,6 +3,9 @@ package plan
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 
 	"mddm/internal/agg"
 	"mddm/internal/dimension"
@@ -81,6 +84,10 @@ type Partials struct {
 	// CoverReasons are the report's covering-failure texts, append-
 	// invariant within one engine lifetime.
 	CoverReasons []string
+	// rows is the full sorted pre-HAVING row set of a grouped shape; an
+	// upgrade patches only the rows of the groups its delta touched.
+	// Shared between versions: read-only.
+	rows [][]string
 }
 
 // Capture is the context sink RunContext fills with the partials of an
@@ -237,28 +244,38 @@ func UpgradeResult(ctx context.Context, eng *storage.Engine, old *Partials, lo, 
 		}
 	}
 
-	// Clone-then-fold: the cached partials stay valid for their own
-	// version even if this continuation is abandoned (CAS failure,
-	// cancellation).
-	merged := make(map[string]*GroupState, len(old.Groups)+4)
-	for v, gs := range old.Groups {
-		merged[v] = gs.clone()
+	// Copy-on-write: the merged map starts out sharing the cached group
+	// states, and group clones one before its first fold, so the cached
+	// partials stay valid for their own version even if this
+	// continuation is abandoned (CAS failure, cancellation), and groups
+	// the delta misses cost nothing.
+	merged := maps.Clone(old.Groups)
+	if merged == nil {
+		merged = map[string]*GroupState{}
+	}
+	group := func(v string) *GroupState {
+		gs := merged[v]
+		switch {
+		case gs == nil:
+			gs = &GroupState{}
+			if old.Fn.NeedsArg {
+				gs.State = old.Fn.State()
+			}
+		case gs == old.Groups[v]:
+			gs = gs.clone()
+		}
+		merged[v] = gs
+		return gs
 	}
 
 	argDim := old.ArgDim
+	var touched []string // group values the delta folded into
 	if old.Dim == "" {
 		count, argvals, err := eng.GlobalRange(ctx, argDim, sel, lo, hi)
 		if err != nil {
 			return nil, nil, err
 		}
-		gs := merged[""]
-		if gs == nil {
-			gs = &GroupState{}
-			if old.Fn.NeedsArg {
-				gs.State = old.Fn.State()
-			}
-			merged[""] = gs
-		}
+		gs := group("")
 		gs.Count += count
 		if gs.State != nil {
 			for _, v := range argvals {
@@ -270,15 +287,9 @@ func UpgradeResult(ctx context.Context, eng *storage.Engine, old *Partials, lo, 
 		if err != nil {
 			return nil, nil, err
 		}
+		touched = values
 		for j, v := range values {
-			gs := merged[v]
-			if gs == nil {
-				gs = &GroupState{}
-				if old.Fn.NeedsArg {
-					gs.State = old.Fn.State()
-				}
-				merged[v] = gs
-			}
+			gs := group(v)
 			gs.Count += counts[j]
 			if gs.State != nil {
 				for _, x := range args[j] {
@@ -296,44 +307,55 @@ func UpgradeResult(ctx context.Context, eng *storage.Engine, old *Partials, lo, 
 	}
 	report := old.rebuildReport(multiValued)
 
-	// Rebuild the full (pre-HAVING) row set with the planner's presence
+	// The full (pre-HAVING) row set, with the planner's presence
 	// semantics: no facts, no group, no row; argument-consuming functions
 	// skip groups whose state finalizes not-ok (exactly fn.Apply on an
-	// empty extraction).
+	// empty extraction). A grouped upgrade patches the cached sorted rows
+	// of the groups its delta touched; every other row is unchanged.
+	row := func(val string, gs *GroupState) []string {
+		if gs == nil || gs.Count == 0 {
+			return nil
+		}
+		v, ok := float64(gs.Count), true
+		if old.Fn.NeedsArg {
+			v, ok = gs.State.Finalize()
+		}
+		if !ok {
+			return nil
+		}
+		if old.Dim == "" {
+			return []string{agg.FormatResult(v)}
+		}
+		return []string{val, agg.FormatResult(v)}
+	}
 	var rows [][]string
 	if old.Dim == "" {
-		if gs := merged[""]; gs != nil && gs.Count > 0 {
-			if !old.Fn.NeedsArg {
-				rows = [][]string{{agg.FormatResult(float64(gs.Count))}}
-			} else if v, ok := gs.State.Finalize(); ok {
-				rows = [][]string{{agg.FormatResult(v)}}
-			}
+		if r := row("", merged[""]); r != nil {
+			rows = [][]string{r}
 		}
 	} else {
-		rows = make([][]string, 0, len(merged))
-		for val, gs := range merged {
-			if !old.Fn.NeedsArg {
-				if gs.Count == 0 {
-					continue
-				}
-				rows = append(rows, []string{val, agg.FormatResult(float64(gs.Count))})
-				continue
+		rows = append(make([][]string, 0, len(old.rows)+len(touched)), old.rows...)
+		for _, v := range touched {
+			r := row(v, merged[v])
+			k, found := slices.BinarySearchFunc(rows, v, func(r []string, v string) int { return strings.Compare(r[0], v) })
+			switch {
+			case found && r != nil:
+				rows[k] = r
+			case found:
+				rows = slices.Delete(rows, k, k+1)
+			case r != nil:
+				rows = slices.Insert(rows, k, r)
 			}
-			v, ok := gs.State.Finalize()
-			if !ok {
-				continue
-			}
-			rows = append(rows, []string{val, agg.FormatResult(v)})
 		}
 	}
-	sortRows(rows)
-	if len(rows) == 0 {
-		rows = nil
+	var resRows [][]string // the algebra leaves empty row sets nil
+	if len(rows) > 0 {
+		resRows = slices.Clone(rows) // HAVING/ORDER/LIMIT reorder in place
 	}
 
 	res := &query.Result{
 		Columns:      old.Columns,
-		Rows:         rows,
+		Rows:         resRows,
 		Summarizable: report.Summarizable,
 		Reasons:      report.Reasons,
 	}
@@ -356,6 +378,7 @@ func UpgradeResult(ctx context.Context, eng *storage.Engine, old *Partials, lo, 
 		Groups:       merged,
 		MultiValued:  multiValued,
 		CoverReasons: old.CoverReasons,
+		rows:         rows,
 	}
 	return res, next, nil
 }

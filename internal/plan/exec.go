@@ -56,9 +56,10 @@ func execGlobal(guard *qos.Guard, eng *storage.Engine, fn *agg.Func, argDim stri
 	}
 	var argvals []float64
 	if argDim != "" {
-		for i, vals := range eng.ArgValues(argDim) {
+		av := eng.ArgValues(argDim)
+		for i := 0; i < av.Len(); i++ {
 			if sel == nil || sel.Has(i) {
-				argvals = append(argvals, vals...)
+				argvals = append(argvals, av.Of(i)...)
 			}
 		}
 	}
@@ -176,7 +177,7 @@ func execCross(cctx context.Context, guard *qos.Guard, eng *storage.Engine, fn *
 			n = len(l)
 		}
 	}
-	var av [][]float64
+	var av storage.Measure
 	if argDim != "" {
 		av = eng.ArgValues(argDim)
 	}
@@ -253,10 +254,10 @@ func execCross(cctx context.Context, guard *qos.Guard, eng *storage.Engine, fn *
 			return nil, fmt.Errorf("query: %w", err)
 		}
 		var argvals []float64
-		if av != nil {
+		if argDim != "" {
 			for _, i := range mg.members {
-				if i < len(av) {
-					argvals = append(argvals, av[i]...)
+				if i < av.Len() {
+					argvals = append(argvals, av.Of(i)...)
 				}
 			}
 		}

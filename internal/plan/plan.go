@@ -15,7 +15,8 @@ package plan
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"mddm/internal/agg"
@@ -333,6 +334,9 @@ func (p *Prepared) finish(rows [][]string, parts *Partials, cp *Capture) (*query
 	if p.ex != nil {
 		p.ex.Groups = len(rows)
 	}
+	if parts != nil && parts.Dim != "" {
+		parts.rows = append([][]string{}, rows...) // HAVING/ORDER/LIMIT reorder res.Rows in place
+	}
 	if err := query.ApplyHaving(p.q, res); err != nil {
 		return nil, err
 	}
@@ -381,13 +385,12 @@ func groupedDims(m *core.MO, groupBy map[string]string) []groupDim {
 // sortRows orders flattened rows by group values then aggregate value —
 // the canonical order the algebra's SQL flattening produces.
 func sortRows(rows [][]string) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
+	slices.SortFunc(rows, func(a, b []string) int {
 		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
+			if c := strings.Compare(a[k], b[k]); c != 0 {
+				return c
 			}
 		}
-		return len(a) < len(b)
+		return len(a) - len(b)
 	})
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // checkSummarizable reproduces agg.CheckSummarizable over the engine's
-// memoized closures instead of per-fact model walks. Strictness of a
-// selected path is a bitmap-overlap probe (MultiValued): a fact covered
-// by two closure bitmaps of the same category is exactly a fact with two
-// admitted ancestors there. The covering check still walks the hierarchy
-// — it is value-count bound, not fact-count bound. Reason texts and
-// ordering match agg.CheckSummarizable verbatim.
+// indexes instead of per-fact model walks. Strictness of a selected path
+// is a column probe (MultiValued): a fact whose characterization column
+// code is the multi-value sentinel is exactly a fact with two admitted
+// ancestors in the category. The covering check is a hierarchy property,
+// memoized by the engine per (dimension, category pair, context). Reason
+// texts and ordering match agg.CheckSummarizable verbatim.
 func checkSummarizable(eng *storage.Engine, m *core.MO, fn *agg.Func, groupBy map[string]string, ectx dimension.Context, sel *storage.Bitmap) agg.Report {
 	rep := agg.Report{Summarizable: true}
 	fail := func(format string, args ...any) {
@@ -39,10 +39,7 @@ func checkSummarizable(eng *storage.Engine, m *core.MO, fn *agg.Func, groupBy ma
 			if below == cat || !d.Type().LessEq(below, cat) {
 				continue
 			}
-			if len(d.Category(below)) == 0 {
-				continue
-			}
-			if !d.Covering(below, cat, ectx) {
+			if !eng.Covering(dimName, below, cat, ectx) {
 				fail("hierarchy %s: category %s does not fully roll up into %s",
 					dimName, below, cat)
 			}

@@ -63,28 +63,45 @@ func servedFoldServer(b *testing.B) *Server {
 	return servedFoldSrv
 }
 
-// BenchmarkServedGroupFold times one served grouped query with a WHERE
-// per aggregate — the group-fold plan shape — through ServeQuery at 100k
-// facts: cache lookup, delta capture, batch scheduling, fused scan and
-// finish. Run with -benchmem for B/op and allocs/op.
+// BenchmarkServedGroupFold times one served grouped query through
+// ServeQuery at 100k facts: cache lookup, delta capture, batch
+// scheduling, fused scan and finish. The first sub-benchmarks vary the
+// aggregate over one WHERE (the group-fold plan shape); the where=
+// sub-benchmarks hold AVG fixed and vary the WHERE over the kinds the
+// adhoc traffic mix draws from. Run with -benchmem for B/op and
+// allocs/op.
 func BenchmarkServedGroupFold(b *testing.B) {
 	s := servedFoldServer(b)
 	for _, fn := range []string{"SUM(Age)", "COUNT(Age)", "AVG(Age)", "MIN(Age)", "MAX(Age)", "SETCOUNT(*)"} {
 		src := fmt.Sprintf(`SELECT %s FROM patients WHERE Age >= 40 GROUP BY Diagnosis."Diagnosis Family"`, fn)
-		b.Run(fn, func(b *testing.B) {
-			ctx := context.Background()
-			// Warm the closures, columns and argument column once.
-			if _, out, err := s.ServeQuery(ctx, src); err != nil || out.CacheHit {
-				b.Fatalf("warm-up: err %v, cache hit %v", err, out.CacheHit)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, out, err := s.ServeQuery(ctx, src)
-				if err != nil || out.CacheHit || len(res.Rows) == 0 {
-					b.Fatalf("err %v, cache hit %v, %d rows", err, out.CacheHit, len(res.Rows))
-				}
-			}
-		})
+		b.Run(fn, func(b *testing.B) { benchServed(b, s, src) })
+	}
+	for _, w := range []struct{ name, where string }{
+		{"none", ""},
+		{"Age>=", " WHERE Age >= 40"},
+		{"Age<", " WHERE Age < 30"},
+		{"Residence=", " WHERE Residence = 'C1'"},
+		{"DiagnosisIN", " WHERE Diagnosis IN ('G1','F3','L7')"},
+	} {
+		src := `SELECT AVG(Age) FROM patients` + w.where + ` GROUP BY Diagnosis."Diagnosis Family"`
+		b.Run("where="+w.name, func(b *testing.B) { benchServed(b, s, src) })
+	}
+}
+
+// benchServed times src through ServeQuery, requiring every request to
+// miss the cache and return rows.
+func benchServed(b *testing.B, s *Server, src string) {
+	ctx := context.Background()
+	// Warm the closures, columns and argument column once.
+	if _, out, err := s.ServeQuery(ctx, src); err != nil || out.CacheHit {
+		b.Fatalf("warm-up: err %v, cache hit %v", err, out.CacheHit)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, out, err := s.ServeQuery(ctx, src)
+		if err != nil || out.CacheHit || len(res.Rows) == 0 {
+			b.Fatalf("err %v, cache hit %v, %d rows", err, out.CacheHit, len(res.Rows))
+		}
 	}
 }

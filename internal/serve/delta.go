@@ -154,15 +154,15 @@ func (s *Server) tryUpgrade(ctx context.Context, key, mo string, ver cache.Versi
 }
 
 // partialsBytes estimates the retained size of an entry's partials for
-// the cache's byte bound: per-group key and state overhead on top of
-// resultBytes' row accounting.
+// the cache's byte bound: per-group key, state and cached-row overhead on
+// top of resultBytes' row accounting.
 func partialsBytes(p *plan.Partials) int64 {
 	if p == nil {
 		return 0
 	}
 	n := int64(256)
 	for v := range p.Groups {
-		n += int64(len(v)) + 64
+		n += int64(len(v)) + 96
 	}
 	for _, r := range p.CoverReasons {
 		n += int64(len(r)) + 16

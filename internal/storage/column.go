@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mddm/internal/dimension"
 	"mddm/internal/exec"
 	"mddm/internal/obs"
 	"mddm/internal/qos"
@@ -159,6 +160,19 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 	if e.cols[colKey(dim, cat)] != nil {
 		return nil
 	}
+	col, err := e.newColumn(g, dim, cat, vals)
+	if err != nil {
+		return err
+	}
+	e.cols[colKey(dim, cat)] = col
+	mColumnBuilds.Inc()
+	return nil
+}
+
+// newColumn encodes the column of (dim, cat) over the dictionary vals
+// from their memoized closure bitmaps. The caller holds e.mu (read or
+// write) and has ensured the closures; the engine is not modified.
+func (e *Engine) newColumn(g *qos.Guard, dim, cat string, vals []string) (*column, error) {
 	col := &column{
 		dim:   dim,
 		cat:   cat,
@@ -175,7 +189,7 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 	di := e.dims[dim]
 	for j, v := range vals {
 		if err := g.Check(); err != nil {
-			return fmt.Errorf("storage: column %s/%s: %w", dim, cat, err)
+			return nil, fmt.Errorf("storage: column %s/%s: %w", dim, cat, err)
 		}
 		var bm *Bitmap
 		if di != nil {
@@ -206,9 +220,7 @@ func (e *Engine) BuildColumn(ctx context.Context, dim, cat string) error {
 		}
 		return col.over[a].vid < col.over[b].vid
 	})
-	e.cols[colKey(dim, cat)] = col
-	mColumnBuilds.Inc()
-	return nil
+	return col, nil
 }
 
 // EnsureColumn builds the column of (dim, cat) when the cost heuristic
@@ -350,11 +362,11 @@ func (e *Engine) countByColumn(ctx context.Context, g *qos.Guard, col *column) (
 // contributed an argument value — the bitmap path's `any` flag /
 // SUM-state n). Facts are visited in ascending index order, so per-value
 // float addition order equals Bitmap.Iterate's.
-func sumColumnRange(codes []uint32, over []overPair, argVals [][]float64, lo, hi int,
+func sumColumnRange(codes []uint32, over []overPair, av Measure, lo, hi int,
 	sums []float64, counts, adds []int64) {
 	addFact := func(vid uint32, i int) {
 		counts[vid]++
-		for _, x := range argVals[i] {
+		for _, x := range av.Of(i) {
 			sums[vid] += x
 			adds[vid]++
 		}
@@ -384,11 +396,8 @@ func sumColumnRange(codes []uint32, over []overPair, argVals [][]float64, lo, hi
 // merges per-partition (sum, adds) partials in ascending partition order,
 // the same association as the agg.State merge of the bitmap parallel path.
 func (e *Engine) sumByColumn(ctx context.Context, g *qos.Guard, col *column, argDim string) (map[string]float64, error) {
-	e.ensureArgValues(argDim)
-	e.mu.RLock()
-	codes, over := col.codes, col.over
-	argVals := e.argCols[argDim]
-	e.mu.RUnlock()
+	codes, over := e.snapshotColumn(col)
+	av := e.ArgValues(argDim) // after the codes: covers every fact they hold
 	n := len(codes)
 	nv := len(col.vals)
 	sums := make([]float64, nv)
@@ -403,7 +412,7 @@ func (e *Engine) sumByColumn(ctx context.Context, g *qos.Guard, col *column, arg
 			s := make([]float64, nv)
 			c := make([]int64, nv)
 			a := make([]int64, nv)
-			sumColumnRange(codes, over, argVals, parts[p].Lo, parts[p].Hi, s, c, a)
+			sumColumnRange(codes, over, av, parts[p].Lo, parts[p].Hi, s, c, a)
 			pSums[p], pCounts[p], pAdds[p] = s, c, a
 			return nil
 		}); err != nil {
@@ -425,7 +434,7 @@ func (e *Engine) sumByColumn(ctx context.Context, g *qos.Guard, col *column, arg
 			if hi > n {
 				hi = n
 			}
-			sumColumnRange(codes, over, argVals, lo, hi, sums, counts, adds)
+			sumColumnRange(codes, over, av, lo, hi, sums, counts, adds)
 		}
 	}
 	out := make(map[string]float64, len(col.vals))
@@ -495,10 +504,8 @@ func crossColumnRange(codes1 []uint32, over1 []overPair, codes2 []uint32, over2 
 // with crossCountSeq: per row value in dictionary order, Check always,
 // then Facts(row fact count) for non-empty rows only.
 func (e *Engine) crossCountByColumn(ctx context.Context, g *qos.Guard, c1, c2 *column) ([]CrossCell, error) {
-	e.mu.RLock()
-	codes1, over1 := c1.codes, c1.over
-	codes2, over2 := c2.codes, c2.over
-	e.mu.RUnlock()
+	codes1, over1 := e.snapshotColumn(c1)
+	codes2, over2 := e.snapshotColumn(c2)
 	n := len(codes1)
 	if m := len(codes2); m < n {
 		n = m
@@ -647,7 +654,7 @@ func (e *Engine) appendToColumn(col *column, factID string, i int) {
 		for _, anc := range d.Ancestors(v, e.ctx) {
 			add(anc)
 		}
-		add(dimTopValue)
+		add(dimension.TopValue)
 	}
 	switch len(vids) {
 	case 0:

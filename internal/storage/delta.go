@@ -39,9 +39,7 @@ func (e *Engine) AggregateByRange(ctx context.Context, dim, cat, argDim string, 
 	if err := e.ensureClosures(g, dim, vals); err != nil {
 		return nil, nil, nil, err
 	}
-	if argDim != "" {
-		e.ensureArgValues(argDim)
-	}
+	e.ensureArgValues(argDim)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if hi > len(e.facts) {
@@ -51,10 +49,7 @@ func (e *Engine) AggregateByRange(ctx context.Context, dim, cat, argDim string, 
 	if di == nil || lo >= hi {
 		return nil, nil, nil, nil
 	}
-	var av [][]float64
-	if argDim != "" {
-		av = e.argCols[argDim]
-	}
+	av := e.argCols[argDim]
 	scanned := int64(0)
 	for _, v := range vals {
 		// CheckNow, not the sampled Check: a delta fold visits few values,
@@ -74,8 +69,8 @@ func (e *Engine) AggregateByRange(ctx context.Context, dim, cat, argDim string, 
 				return true
 			}
 			c++
-			if av != nil && i < len(av) {
-				list = append(list, av[i]...)
+			if i < av.Len() {
+				list = append(list, av.Of(i)...)
 			}
 			return true
 		})
@@ -99,9 +94,7 @@ func (e *Engine) GlobalRange(ctx context.Context, argDim string, sel *Bitmap, lo
 	if err := g.CheckNow(); err != nil {
 		return 0, nil, fmt.Errorf("storage: delta global fold: %w", err)
 	}
-	if argDim != "" {
-		e.ensureArgValues(argDim)
-	}
+	e.ensureArgValues(argDim)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if hi > len(e.facts) {
@@ -110,10 +103,7 @@ func (e *Engine) GlobalRange(ctx context.Context, argDim string, sel *Bitmap, lo
 	if lo < 0 {
 		lo = 0
 	}
-	var av [][]float64
-	if argDim != "" {
-		av = e.argCols[argDim]
-	}
+	av := e.argCols[argDim]
 	count := 0
 	var list []float64
 	for i := lo; i < hi; i++ {
@@ -121,8 +111,8 @@ func (e *Engine) GlobalRange(ctx context.Context, argDim string, sel *Bitmap, lo
 			continue
 		}
 		count++
-		if av != nil && i < len(av) {
-			list = append(list, av[i]...)
+		if i < av.Len() {
+			list = append(list, av.Of(i)...)
 		}
 	}
 	return count, list, nil
@@ -138,46 +128,31 @@ func (e *Engine) GlobalRange(ctx context.Context, argDim string, sel *Bitmap, lo
 // — which is how a cached strictness verdict is upgraded without
 // rescanning history. Like MultiValued it is a metadata probe and
 // charges no fact budget.
+// It reads the characterization column (built on first use): a fact is
+// multi-valued iff it has entries in the overflow table, which is sorted
+// by fact, so the probe is a binary-search window.
 func (e *Engine) MultiValuedRange(dim, cat string, sel *Bitmap, lo, hi int) bool {
 	d := e.mo.Dimension(dim)
 	if d == nil {
 		return false
 	}
 	vals := d.CategoryAt(cat, e.ctx)
-	_ = e.ensureClosures(nil, dim, vals) // nil guard: cannot fail
+	_ = e.ensureClosures(nil, dim, vals)              // nil guard: cannot fail
+	_ = e.BuildColumn(context.Background(), dim, cat) // uncancellable; a >uint32 dictionary cannot fit in memory
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if hi > len(e.facts) {
-		hi = len(e.facts)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	di := e.dims[dim]
-	if di == nil || lo >= hi {
+	col := e.cols[colKey(dim, cat)]
+	if col == nil {
 		return false
 	}
-	// seen is indexed relative to lo so the probe allocates proportional
-	// to the delta, not to history.
-	seen := NewBitmap(hi - lo)
-	found := false
-	for _, v := range vals {
-		bm := di.closure[v]
-		if bm == nil {
-			continue
-		}
-		bm.IterateRange(lo, hi, func(i int) bool {
-			if sel != nil && !sel.Has(i) {
-				return true
-			}
-			if seen.Has(i - lo) {
-				found = true
-				return false
-			}
-			seen.Set(i - lo)
-			return true
-		})
-		if found {
+	if len(col.vals) != len(vals) {
+		// Stale dictionary: answer from a transient column over the live
+		// one; the installed column stays as SharedAggregateBy refuses it.
+		col, _ = e.newColumn(nil, dim, cat, vals) // nil guard: cannot fail
+	}
+	over := col.over
+	for k, ke := overStart(over, lo), overStart(over, hi); k < ke; k++ {
+		if sel == nil || sel.Has(over[k].fact) {
 			return true
 		}
 	}

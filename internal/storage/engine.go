@@ -8,9 +8,11 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mddm/internal/agg"
 	"mddm/internal/core"
 	"mddm/internal/dimension"
 	"mddm/internal/exec"
+	"mddm/internal/fact"
 	"mddm/internal/faultinject"
 	"mddm/internal/obs"
 	"mddm/internal/qos"
@@ -47,7 +49,7 @@ var (
 type Engine struct {
 	mo    *core.MO
 	ctx   dimension.Context
-	mu    sync.RWMutex // guards facts, idx, dims (direct + closure bitmaps), cols, argCols
+	mu    sync.RWMutex // guards facts, idx, dims (direct + closure bitmaps), cols, argCols, covers
 	facts []string
 	idx   map[string]int
 	dims  map[string]*dimIndex
@@ -56,8 +58,10 @@ type Engine struct {
 	cols map[string]*column
 	// argCols memoizes, per argument dimension, the measure column: dense
 	// fact index → the fact's admitted numeric values. Computed once,
-	// maintained by AppendFact, shared by every SUM path.
-	argCols map[string][][]float64
+	// maintained by AppendFact, shared by every argument-reading path.
+	argCols map[string]Measure
+	// covers memoizes Covering verdicts (see Covering).
+	covers map[coverKey]bool
 	// colMin overrides DefaultColumnMinValues when positive: the minimum
 	// category cardinality at which a built column is preferred over the
 	// per-value bitmap scans.
@@ -114,11 +118,12 @@ func BuildEngine(ctx context.Context, m *core.MO, ectx dimension.Context) (*Engi
 		return nil, fmt.Errorf("storage: engine build: %w", err)
 	}
 	e := &Engine{
-		mo:    m,
-		ctx:   ectx,
-		facts: m.Facts().IDs(),
-		idx:   map[string]int{},
-		dims:  map[string]*dimIndex{},
+		mo:     m,
+		ctx:    ectx,
+		facts:  m.Facts().IDs(),
+		idx:    make(map[string]int, m.Facts().Len()),
+		dims:   map[string]*dimIndex{},
+		covers: map[coverKey]bool{},
 	}
 	for i, f := range e.facts {
 		e.idx[f] = i
@@ -127,23 +132,35 @@ func BuildEngine(ctx context.Context, m *core.MO, ectx dimension.Context) (*Engi
 	for _, name := range m.Schema().DimensionNames() {
 		di := &dimIndex{direct: map[string]*Bitmap{}, closure: map[string]*Bitmap{}}
 		r := m.Relation(name)
-		for _, p := range r.Pairs() {
-			if err := g.Facts(1); err != nil {
-				return nil, fmt.Errorf("storage: engine build: %w", err)
+		// Before the charged scan: the smallest pair with an unknown fact.
+		var bad *UnknownFactError
+		r.Range(func(f, v string, _ dimension.Annot) bool {
+			if _, known := e.idx[f]; !known && (bad == nil || f < bad.FactID || (f == bad.FactID && v < bad.ValueID)) {
+				bad = &UnknownFactError{Dim: name, FactID: f, ValueID: v}
 			}
-			i, known := e.idx[p.FactID]
-			if !known {
-				return nil, &UnknownFactError{Dim: name, FactID: p.FactID, ValueID: p.ValueID}
+			return true
+		})
+		if bad != nil {
+			return nil, bad
+		}
+		var err error
+		r.Range(func(f, v string, a dimension.Annot) bool {
+			if err = g.Facts(1); err != nil {
+				return false
 			}
-			if !ectx.Admits(p.Annot) {
-				continue
+			if !ectx.Admits(a) {
+				return true
 			}
-			bm, ok := di.direct[p.ValueID]
+			bm, ok := di.direct[v]
 			if !ok {
 				bm = NewBitmap(n)
-				di.direct[p.ValueID] = bm
+				di.direct[v] = bm
 			}
-			bm.Set(i)
+			bm.Set(e.idx[f])
+			return true
+		})
+		if err != nil {
+			return nil, fmt.Errorf("storage: engine build: %w", err)
 		}
 		e.dims[name] = di
 	}
@@ -412,7 +429,7 @@ func (e *Engine) sumBy(g *qos.Guard, dim, cat, argDim string) (map[string]float6
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	di := e.dims[dim]
-	vals := e.argCols[argDim]
+	av := e.argCols[argDim]
 	out := make(map[string]float64, len(catVals))
 	scanned := int64(0)
 	empty := NewBitmap(0)
@@ -430,36 +447,80 @@ func (e *Engine) sumBy(g *qos.Guard, dim, cat, argDim string) (map[string]float6
 			return nil, fmt.Errorf("storage: sum %s/%s: %w", dim, cat, err)
 		}
 		scanned++
-		sum := 0.0
-		any := false
-		bm.Iterate(func(i int) bool {
-			for _, x := range vals[i] {
-				sum += x
-				any = true
-			}
-			return true
-		})
-		if any {
-			out[v] = sum
+		var f agg.Fold // ascending fact order: the bitmap paths' sum order
+		foldArgs(&f, bm, av, av.Len())
+		if f.N > 0 {
+			out[v] = f.Sum
 		}
 	}
 	mBitmapScans.Add(scanned)
 	return out, nil
 }
 
-// ensureArgValues memoizes the measure column of argDim so the SUM paths
-// read a prebuilt dense array instead of re-walking the fact–dimension
-// relation per query. Like closure memoization this is infrastructure
-// work: computed once under the write lock, extended by AppendFact, and
-// charged to no query's fact budget. The caller must not hold e.mu; the
-// column is then read from e.argCols under the read lock, so it stays
-// consistent with the closure bitmaps and characterization columns
-// captured in the same critical section.
+// Measure is a snapshot of one argument dimension's measure column: fact
+// i's admitted numeric values, in sorted value order, are
+// x[off[i]:off[i+1]] — or x[i] while every fact has exactly one value
+// (off nil). No per-fact slice, so a fold is a sequential read. Appends
+// never rewrite an element (off is materialized into a new array when a
+// fact first breaks the one-value shape), so a snapshot stays immutable.
+type Measure struct {
+	off []int
+	x   []float64
+}
+
+// Len returns the number of facts the snapshot covers.
+func (m Measure) Len() int {
+	if m.off == nil {
+		return len(m.x)
+	}
+	return len(m.off) - 1
+}
+
+// Of returns fact i's values, shared with the engine: read-only.
+func (m Measure) Of(i int) []float64 {
+	if m.off == nil {
+		return m.x[i : i+1]
+	}
+	return m.x[m.off[i]:m.off[i+1]]
+}
+
+// appendFact appends one fact's values to the column.
+func (m *Measure) appendFact(d *dimension.Dimension, r *fact.Relation, factID string, ctx dimension.Context) {
+	n := m.Len()
+	for _, v := range r.ValuesOf(factID) {
+		a, _ := r.Annot(factID, v)
+		if !ctx.Admits(a) {
+			continue
+		}
+		if x, ok := d.Numeric(v, ctx); ok {
+			m.x = append(m.x, x)
+		}
+	}
+	if m.off == nil && len(m.x) == n+1 {
+		return
+	}
+	if m.off == nil {
+		m.off = make([]int, n+1, n+1+n/4)
+		for i := range m.off {
+			m.off[i] = i
+		}
+	}
+	m.off = append(m.off, len(m.x))
+}
+
+// ensureArgValues memoizes the measure column of argDim so the argument
+// paths read a prebuilt dense array instead of re-walking the
+// fact–dimension relation per query. Like closure memoization this is
+// infrastructure work: computed once under the write lock, extended by
+// AppendFact, and charged to no query's fact budget. The caller must not
+// hold e.mu; the column is then read from e.argCols under the read lock,
+// so it stays consistent with the closure bitmaps and characterization
+// columns captured in the same critical section. "" is a no-op.
 func (e *Engine) ensureArgValues(argDim string) {
 	e.mu.RLock()
 	_, ok := e.argCols[argDim]
 	e.mu.RUnlock()
-	if ok {
+	if ok || argDim == "" {
 		return
 	}
 	e.mu.Lock()
@@ -468,26 +529,30 @@ func (e *Engine) ensureArgValues(argDim string) {
 		return
 	}
 	if e.argCols == nil {
-		e.argCols = map[string][][]float64{}
+		e.argCols = map[string]Measure{}
 	}
-	e.argCols[argDim] = e.argValues(argDim)
-}
-
-// argValues computes, per dense fact index, the numeric values of the
-// fact in the argument dimension — the memoization cold path of
-// ensureArgValues. The caller holds e.mu (read or write).
-func (e *Engine) argValues(argDim string) [][]float64 {
 	d := e.mo.Dimension(argDim)
 	r := e.mo.Relation(argDim)
-	out := make([][]float64, len(e.facts))
-	for i, f := range e.facts {
-		for _, v := range r.ValuesOf(f) {
-			a, _ := r.Annot(f, v)
-			if !e.ctx.Admits(a) {
-				continue
-			}
-			if x, ok := d.Numeric(v, e.ctx); ok {
-				out[i] = append(out[i], x)
+	m := Measure{x: make([]float64, 0, len(e.facts))}
+	for _, f := range e.facts {
+		m.appendFact(d, r, f, e.ctx)
+	}
+	e.argCols[argDim] = m
+}
+
+// SelectNumeric returns the facts with an admitted numeric value x in dim
+// for which keep(x) holds (a numeric WHERE) as the OR of the direct
+// bitmaps of the values whose number satisfies keep: those hold exactly
+// the admitted pairs the measure column reads.
+func (e *Engine) SelectNumeric(dim string, keep func(x float64) bool) *Bitmap {
+	d := e.mo.Dimension(dim)
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	out := NewBitmap(len(e.facts))
+	if di := e.dims[dim]; di != nil && d != nil {
+		for v, bm := range di.direct {
+			if x, ok := d.Numeric(v, e.ctx); ok && keep(x) {
+				out.Or(bm)
 			}
 		}
 	}
@@ -521,6 +586,32 @@ func (e *Engine) MO() *core.MO { return e.mo }
 
 // Context returns the engine's evaluation context.
 func (e *Engine) Context() dimension.Context { return e.ctx }
+
+// coverKey keys one Covering verdict: dimension, categories, context.
+type coverKey struct {
+	dim, below, cat string
+	ctx             dimension.ContextKey
+}
+
+// Covering is dimension.Covering(below, cat, ctx) of the engine's
+// dimension dim, memoized for the engine's lifetime. The verdict depends
+// on the hierarchy and the context only, never on facts, so appends keep
+// it valid; a re-registered dimension comes with a new MO and therefore
+// a new engine, so the memo cannot outlive the hierarchy it describes.
+func (e *Engine) Covering(dim, below, cat string, ctx dimension.Context) bool {
+	k := coverKey{dim, below, cat, ctx.Key()}
+	e.mu.RLock()
+	ok, hit := e.covers[k]
+	e.mu.RUnlock()
+	if hit {
+		return ok
+	}
+	ok = e.mo.Dimension(dim).Covering(below, cat, ctx)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.covers[k] = ok
+	return ok
+}
 
 // String summarizes the engine.
 func (e *Engine) String() string {

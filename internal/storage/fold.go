@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"mddm/internal/agg"
@@ -17,13 +18,11 @@ import (
 // under the read lock, so one call observes one consistent snapshot of
 // the index even while AppendFact runs concurrently.
 
-// ArgValues returns the memoized measure column of the argument
-// dimension: dense fact index → the fact's admitted numeric values, in
-// the sorted value order the algebra's argument extraction uses. The
-// returned slices are shared with the engine and must be treated as
-// read-only; indices beyond the returned length belong to facts appended
-// after the call.
-func (e *Engine) ArgValues(argDim string) [][]float64 {
+// ArgValues returns a snapshot of the memoized measure column of the
+// argument dimension: dense fact index → the fact's admitted numeric
+// values, in the sorted value order the algebra's argument extraction
+// uses. Facts appended after the call are beyond the snapshot's Len.
+func (e *Engine) ArgValues(argDim string) Measure {
 	e.ensureArgValues(argDim)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -55,32 +54,7 @@ func (e *Engine) SelectedFactIDs(sel *Bitmap) []string {
 // Like the algebra's StrictPath it charges no fact budget: it is a
 // metadata probe, not an aggregation scan.
 func (e *Engine) MultiValued(dim, cat string, sel *Bitmap) bool {
-	d := e.mo.Dimension(dim)
-	vals := d.CategoryAt(cat, e.ctx)
-	_ = e.ensureClosures(nil, dim, vals) // nil guard: cannot fail
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	di := e.dims[dim]
-	if di == nil {
-		return false
-	}
-	n := len(e.facts)
-	seen := NewBitmap(n)
-	dup := NewBitmap(n)
-	scratch := NewBitmap(n)
-	for _, v := range vals {
-		bm := di.closure[v]
-		if bm == nil {
-			continue
-		}
-		scratch.AndInto(seen, bm)
-		dup.Or(scratch)
-		seen.Or(bm)
-	}
-	if sel != nil {
-		dup.And(sel)
-	}
-	return !dup.IsEmpty()
+	return e.MultiValuedRange(dim, cat, sel, 0, math.MaxInt)
 }
 
 // AggregateBy is the planner's grouped fold: for every value of the
@@ -102,16 +76,11 @@ func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *
 	if err := e.ensureClosures(g, dim, vals); err != nil {
 		return nil, nil, nil, err
 	}
-	if argDim != "" {
-		e.ensureArgValues(argDim)
-	}
+	e.ensureArgValues(argDim)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	di := e.dims[dim]
-	var av [][]float64
-	if argDim != "" {
-		av = e.argCols[argDim]
-	}
+	av := e.argCols[argDim]
 	n := len(e.facts)
 	kcounts := make([]int, len(vals))
 	kfolds := make([]agg.Fold, len(vals))
@@ -136,7 +105,7 @@ func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *
 			return fmt.Errorf("storage: aggregate %s/%s: %w", dim, cat, err)
 		}
 		kcounts[j] = c
-		if c > 0 && av != nil {
+		if c > 0 && argDim != "" {
 			foldArgs(&kfolds[j], members, av, n)
 		}
 		return nil
@@ -181,25 +150,27 @@ func (e *Engine) AggregateBy(ctx context.Context, dim, cat, argDim string, sel *
 // below n into acc, fact by fact in ascending dense-index order and each
 // fact's values in argument-column order — the order the algebra extracts
 // argument lists in, so the fold replays Eval's arithmetic exactly.
-func foldArgs(acc *agg.Fold, members *Bitmap, av [][]float64, n int) {
-	if n > len(av) {
-		n = len(av)
-	}
-	for wi, w := range members.words {
+func foldArgs(acc *agg.Fold, members *Bitmap, av Measure, n int) {
+	n = min(n, av.Len())
+	f := *acc
+	off, x := av.off, av.x
+	for wi, w := range members.words[:min(len(members.words), (n+63)>>6)] {
 		base := wi << 6
-		if base >= n {
-			return
-		}
 		for ; w != 0; w &= w - 1 {
 			i := base + bits.TrailingZeros64(w)
 			if i >= n {
-				return
+				break
 			}
-			for _, x := range av[i] {
-				acc.Add(x)
+			if off == nil {
+				f.Add(x[i])
+				continue
+			}
+			for _, v := range x[off[i]:off[i+1]] {
+				f.Add(v)
 			}
 		}
 	}
+	*acc = f
 }
 
 // ValueLists returns, per dense fact index, the category values that

@@ -6,9 +6,6 @@ import (
 	"mddm/internal/dimension"
 )
 
-// dimTopValue aliases the ⊤ value id.
-const dimTopValue = dimension.TopValue
-
 // This file implements incremental index maintenance: appending facts to a
 // built engine without rebuilding it. New facts extend the dense index
 // space; their direct pairs are folded into the affected direct bitmaps
@@ -76,19 +73,11 @@ func (e *Engine) AppendFact(factID string) error {
 			if len(di.closure) == 0 {
 				continue
 			}
-			if cbm, ok := di.closure[v]; ok {
-				cbm.grow(n)
-				cbm.Set(i)
-			}
-			for _, anc := range d.Ancestors(v, e.ctx) {
+			for _, anc := range append(d.Ancestors(v, e.ctx), v, dimension.TopValue) {
 				if cbm, ok := di.closure[anc]; ok {
 					cbm.grow(n)
 					cbm.Set(i)
 				}
-			}
-			if cbm, ok := di.closure[dimTopValue]; ok {
-				cbm.grow(n)
-				cbm.Set(i)
 			}
 		}
 	}
@@ -100,23 +89,12 @@ func (e *Engine) AppendFact(factID string) error {
 		e.appendToColumn(col, factID, i)
 	}
 	// Maintain the memoized measure columns: append the new fact's admitted
-	// numeric values in each cached argument dimension, in the same
-	// relation order argValues uses, so an incrementally maintained column
-	// is element-for-element identical to a fresh one.
-	for argDim, vals := range e.argCols {
-		d := e.mo.Dimension(argDim)
-		r := e.mo.Relation(argDim)
-		var xs []float64
-		for _, v := range r.ValuesOf(factID) {
-			a, _ := r.Annot(factID, v)
-			if !e.ctx.Admits(a) {
-				continue
-			}
-			if x, ok := d.Numeric(v, e.ctx); ok {
-				xs = append(xs, x)
-			}
-		}
-		e.argCols[argDim] = append(vals, xs)
+	// numeric values in each cached argument dimension, in the same order
+	// ensureArgValues uses, so an incrementally maintained column is
+	// element-for-element identical to a fresh one.
+	for argDim, m := range e.argCols {
+		m.appendFact(e.mo.Dimension(argDim), e.mo.Relation(argDim), factID, e.ctx)
+		e.argCols[argDim] = m
 	}
 	// The append succeeded: move to a fresh mutation epoch so versioned
 	// readers (the result cache) see every entry filled before this write

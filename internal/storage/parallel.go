@@ -91,39 +91,18 @@ func (e *Engine) countDistinctByParallel(ctx context.Context, dim, cat string, d
 	return out, nil
 }
 
-// sumByParallel is the partition-parallel SumBy: the frozen view also
-// precomputes the argument values per dense index, each partition folds
+// sumByParallel is the partition-parallel SumBy: over the frozen view
+// and a measure-column snapshot, each partition folds
 // its range into a mergeable SUM state, and partials merge in ascending
 // partition order.
 func (e *Engine) sumByParallel(ctx context.Context, dim, cat, argDim string, degree int) (map[string]float64, error) {
 	g := qos.NewGuard(ctx)
-	d := e.mo.Dimension(dim)
-	catVals := d.CategoryAt(cat, e.ctx)
-	if err := e.ensureClosures(g, dim, catVals); err != nil {
+	vals, bms, n, err := e.frozenValueBitmaps(g, dim, cat)
+	if err != nil {
 		return nil, err
 	}
-	e.ensureArgValues(argDim)
-	e.mu.RLock()
-	di := e.dims[dim]
-	n := len(e.facts)
-	argVals := e.argCols[argDim]
-	var vals []string
-	var bms []*Bitmap
-	for _, v := range catVals {
-		if err := g.Check(); err != nil {
-			e.mu.RUnlock()
-			return nil, err
-		}
-		bm := NewBitmap(n)
-		if di != nil {
-			if c := di.closure[v]; c != nil {
-				bm = c.Clone()
-			}
-		}
-		vals = append(vals, v)
-		bms = append(bms, bm)
-	}
-	e.mu.RUnlock()
+	// Snapshotted after the bitmaps, so it covers every fact they mark.
+	av := e.ArgValues(argDim)
 
 	mBitmapScans.Add(int64(len(bms)))
 	sum := agg.MustLookup("SUM")
@@ -135,7 +114,7 @@ func (e *Engine) sumByParallel(ctx context.Context, dim, cat, argDim string, deg
 		for j, bm := range bms {
 			s := sum.State()
 			bm.IterateRange(r.Lo, r.Hi, func(i int) bool {
-				for _, x := range argVals[i] {
+				for _, x := range av.Of(i) {
 					s.Add(x)
 				}
 				return true

@@ -66,11 +66,12 @@ func RestoreEngine(m *core.MO, ectx dimension.Context, facts []string, perDim ma
 		return nil, fmt.Errorf("storage: restore: %d facts provided, MO holds %d", len(facts), m.Facts().Len())
 	}
 	e := &Engine{
-		mo:    m,
-		ctx:   ectx,
-		facts: facts,
-		idx:   make(map[string]int, len(facts)),
-		dims:  map[string]*dimIndex{},
+		mo:     m,
+		ctx:    ectx,
+		facts:  facts,
+		idx:    make(map[string]int, len(facts)),
+		dims:   map[string]*dimIndex{},
+		covers: map[coverKey]bool{},
 	}
 	for i, f := range facts {
 		if _, dup := e.idx[f]; dup {

@@ -85,9 +85,7 @@ func (e *Engine) SharedAggregateBy(ctx context.Context, dim, cat string, members
 		return nil, nil, nil, err
 	}
 	for _, m := range members {
-		if m.ArgDim != "" {
-			e.ensureArgValues(m.ArgDim)
-		}
+		e.ensureArgValues(m.ArgDim)
 	}
 
 	e.mu.RLock()
@@ -105,7 +103,7 @@ func (e *Engine) SharedAggregateBy(ctx context.Context, dim, cat string, members
 	n := len(e.facts)
 	nv := len(col.vals)
 	di := e.dims[dim]
-	argVals := make([][][]float64, len(members))
+	argVals := make([]Measure, len(members))
 	counts = make([][]int64, len(members))
 	folds = make([][]agg.Fold, len(members))
 	for mi, m := range members {
